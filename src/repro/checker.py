@@ -281,17 +281,12 @@ class Checker:
                 coverage=self.coverage, observer=self.observer,
                 resilience=resilience,
             )
-        if self.strategy == "por":
-            return SleepSetStrategy(
-                self.program, self.policy_factory,
-                depth_bound=self.config.depth_bound, limits=self.limits,
-                coverage=self.coverage, observer=self.observer,
-                resilience=resilience, config=self.config,
-            )
-        if self.strategy == "dpor":
-            return DporStrategy(
-                self.program, self.policy_factory,
-                depth_bound=self.config.depth_bound, limits=self.limits,
+        if self.strategy in ("por", "dpor"):
+            # Both refuse a preemption bound, including one set on
+            # self.config after construction (as `repro demo` does).
+            cls = SleepSetStrategy if self.strategy == "por" else DporStrategy
+            return cls(
+                self.program, self.policy_factory, limits=self.limits,
                 coverage=self.coverage, observer=self.observer,
                 resilience=resilience, config=self.config,
             )

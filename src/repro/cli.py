@@ -34,6 +34,7 @@ from repro.checker import Checker
 from repro.core.model import Program
 from repro.engine.persistence import load_and_replay, save_schedule
 from repro.engine.results import format_trace
+from repro.runtime.errors import UnsupportedConfiguration
 
 
 def _demos() -> Dict[str, Callable[[], Program]]:
@@ -364,11 +365,14 @@ def _cmd_profile_snapshots(options: argparse.Namespace) -> int:
         def program_factory():
             return bounded_buffer_program(items=2, consumers=2)
 
+    bound = options.preemption_bound
+    if bound is None and options.strategy not in ("por", "dpor"):
+        bound = 2
     report = snapshot_amortization(
         program_factory,
         strategy=options.strategy,
         depth_bound=options.depth_bound,
-        preemption_bound=options.preemption_bound,
+        preemption_bound=bound,
         snapshot_interval=options.snapshot_interval,
         max_executions=options.max_executions,
         snapshot_memory_mb=options.snapshot_memory_mb,
@@ -665,7 +669,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   choices=["dfs", "icb", "bfs", "random",
                                            "por", "dpor"])
     snapshots_parser.add_argument("--depth-bound", type=int, default=200)
-    snapshots_parser.add_argument("--preemption-bound", type=int, default=2)
+    snapshots_parser.add_argument(
+        "--preemption-bound", type=int, default=None,
+        help="default 2; none for por and dpor, which refuse a bound")
     snapshots_parser.add_argument("--snapshot-interval", type=int, default=4)
     snapshots_parser.add_argument("--max-executions", type=int, default=250)
     snapshots_parser.add_argument("--snapshot-memory-mb", type=int,
@@ -792,7 +798,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     cancel_parser.set_defaults(func=_cmd_job_cancel)
 
     options = parser.parse_args(argv)
-    return options.func(options)
+    try:
+        return options.func(options)
+    except UnsupportedConfiguration as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

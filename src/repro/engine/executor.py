@@ -37,7 +37,12 @@ from repro.engine.results import (
     TraceStep,
 )
 from repro.engine.snapshots import PrefixSnapshot, PrefixSnapshotCache
-from repro.runtime.errors import ExecutionHung, PropertyViolation, TaskCrash
+from repro.runtime.errors import (
+    ExecutionHung,
+    PropertyViolation,
+    TaskCrash,
+    UnsupportedConfiguration,
+)
 
 
 def _temporal_verdict(instance: ProgramInstance) -> Optional[DivergenceReport]:
@@ -183,7 +188,8 @@ class ExecutorConfig:
     snapshot_memory_mb: int = 64
 
 
-def _sorted_options(values) -> list:
+def sorted_options(values) -> list:
+    """Thread ids in a stable order (by ``repr`` when unorderable)."""
     try:
         return sorted(values)
     except TypeError:
@@ -269,6 +275,7 @@ def run_execution(
     completion_rng: Optional[random.Random] = None,
     observer=None,
     snapshot_cache: Optional[PrefixSnapshotCache] = None,
+    reducer=None,
 ) -> ExecutionResult:
     """Execute the program once under ``policy``, steering with ``chooser``.
 
@@ -284,6 +291,21 @@ def run_execution(
     every ``cache.interval`` transitions.  Cached and uncached runs
     produce identical results; a pruner disables the cache because prefix
     restoration would skip its per-state consultations.
+
+    ``reducer`` is the per-execution hook of a partial-order reduction
+    (sleep-set POR, source-DPOR).  It must also be the ``chooser``, which
+    is how it sees the option every thread decision took, and it has:
+
+    * ``filter(instance, options, enabled) -> list`` — the option filter,
+      called at every scheduling point with the sorted schedulable
+      threads.  It returns the options the chooser picks among; an empty
+      list prunes the execution as ``VISITED_PRUNED``;
+    * ``finish(instance, outcome)`` — called when the loop ends, before
+      the instance is closed;
+    * ``snapshot_state()`` / ``restore_state(state)`` — its state at a
+      prefix snapshot, kept in the snapshot cache entry.
+
+    Without a reducer the loop pays one ``is None`` test per step for it.
     """
     if pruner is not None:
         snapshot_cache = None
@@ -308,6 +330,8 @@ def run_execution(
         # recorded signatures so totals match a full replay exactly.
         policy = restored.restore_policy(policy)
         chooser.skip(len(restored.decisions))
+        if reducer is not None:
+            reducer.restore_state(restored.reducer_state)
         decisions: List[Decision] = list(restored.decisions)
         trace: deque = deque(restored.trace, maxlen=config.trace_window)
         steps = restored.steps
@@ -325,7 +349,7 @@ def run_execution(
                 if observer is not None:
                     observer.snapshot_restore_timed(elapsed, 0)
     else:
-        for tid in _sorted_options(instance.thread_ids()):
+        for tid in sorted_options(instance.thread_ids()):
             policy.register_thread(tid)
         decisions = []
         trace = deque(maxlen=config.trace_window)
@@ -426,6 +450,8 @@ def run_execution(
                 last_was_yield=last_was_yield,
                 trace=trace,
                 signatures=(prefix_signatures if track_signatures else None),
+                reducer_state=(reducer.snapshot_state()
+                               if reducer is not None else None),
             )
             if timers is not None:
                 elapsed = perf_counter() - t0
@@ -523,7 +549,7 @@ def run_execution(
             )
 
         # ---- context bounding -----------------------------------------
-        options = _sorted_options(schedulable)
+        options = sorted_options(schedulable)
         switch_costs_preemption = False
         if config.preemption_bound is not None and not completing_randomly:
             if last_tid is not None and last_tid in enabled and not last_was_yield:
@@ -542,6 +568,13 @@ def run_execution(
                     outcome = Outcome.DEPTH_PRUNED
                     hit_depth_bound = False
                     break
+        if reducer is not None:
+            options = reducer.filter(instance, options, enabled)
+            if not options:
+                # Every schedulable thread is asleep: this execution only
+                # permutes independent transitions of an explored one.
+                outcome = Outcome.VISITED_PRUNED
+                break
 
         if timers is not None:
             t0 = perf_counter()
@@ -620,7 +653,8 @@ def run_execution(
                 observer.violation(steps, str(exc))
             break
         except Exception as exc:  # noqa: BLE001 - quarantine boundary
-            if not config.capture_crashes:
+            if (not config.capture_crashes
+                    or isinstance(exc, UnsupportedConfiguration)):
                 raise
             crash = exc
             outcome = Outcome.CRASHED
@@ -648,6 +682,8 @@ def run_execution(
             profiler.add_step(pnode, now - pmark)
             pmark = now
 
+    if reducer is not None:
+        reducer.finish(instance, outcome)
     if not config.keep_instance:
         closer = getattr(instance, "close", None)
         if closer is not None:

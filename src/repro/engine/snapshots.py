@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.results import Decision, TraceStep
@@ -96,9 +96,9 @@ class PrefixSnapshot:
     #: tracking is on; replayed into the tracker on restore so coverage
     #: totals cannot drift).
     signatures: Optional[Tuple[object, ...]] = None
-    #: Strategy-specific extras (the sleep-set POR loop stores its sleep
-    #: set here).
-    extras: Dict[str, object] = field(default_factory=dict)
+    #: The execution's reducer state (the sleep set under sleep-set POR;
+    #: None without a reducer).
+    reducer_state: object = None
 
     def restore_policy(self, policy: object) -> object:
         """Return a policy carrying this snapshot's state.
@@ -308,7 +308,7 @@ class PrefixSnapshotCache:
         last_was_yield: bool = False,
         trace: Sequence[TraceStep] = (),
         signatures: Optional[Sequence[object]] = None,
-        extras: Optional[Dict[str, object]] = None,
+        reducer_state: object = None,
     ) -> bool:
         """Store a snapshot of the current executor state; returns True
         when a new entry was created.
@@ -348,7 +348,7 @@ class PrefixSnapshotCache:
             trace=tuple(trace),
             signatures=(tuple(signatures) if signatures is not None
                         else None),
-            extras=dict(extras or {}),
+            reducer_state=reducer_state,
         )
         estimated = snapshot.estimated_bytes()
         if estimated > self.memory_budget_bytes:

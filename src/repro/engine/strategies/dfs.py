@@ -47,6 +47,10 @@ class DfsStrategy(SearchStrategy):
     """Depth-first search with a resumable (guide, RNG) frontier."""
 
     name = "dfs"
+    #: Per-execution reducer hook class (sleep-set POR sets one); it is
+    #: built from the guide and steers the execution in place of a
+    #: plain :class:`GuidedChooser`.
+    reducer: Optional[type] = None
 
     def __init__(
         self,
@@ -93,16 +97,18 @@ class DfsStrategy(SearchStrategy):
         return self.guide is not None
 
     def _run_once(self) -> ExecutionResult:
+        reducer = None if self.reducer is None else self.reducer(self.guide)
         return run_execution(
             self.program,
             self.policy_factory(),
-            GuidedChooser(self.guide),
+            reducer or GuidedChooser(self.guide),
             self.config,
             coverage=self.coverage,
             pruner=self.pruner,
             completion_rng=self.completion_rng,
             observer=self.observer,
             snapshot_cache=self.snapshot_cache,
+            reducer=reducer,
         )
 
     def _advance(self, record: ExecutionResult) -> None:

@@ -36,11 +36,15 @@ reversal is not lost, it reappears at a node where the thread is
 schedulable, exactly like the paper's fair scheduler re-enables
 low-priority threads once the spinning thread yields control.
 
-Unlike the other strategies the guide is a list of *thread ids*, not
-decision indices; recorded :class:`~repro.engine.results.Decision`
-entries still index into the full sorted schedulable set, so a DPOR
-record replays with the ordinary ``replay_schedule``/``Checker.replay``
-machinery.
+Every execution runs through :func:`~repro.engine.executor.run_execution`
+with the :class:`DporRun` reducer hook, which forces the backtrack
+schedule — a list of *thread ids*, not decision indices — and records
+the per-step metadata the race analysis reads.  Recorded
+:class:`~repro.engine.results.Decision` entries still index into the full
+sorted schedulable set, so a DPOR record replays with the ordinary
+``replay_schedule``/``Checker.replay`` machinery.  Wakeup sequences name
+threads only, so a program that branches on ``choose()`` is refused with
+an explicit error rather than explored partially.
 
 The prefix-snapshot cache is deliberately declined: race detection needs
 the resource footprint of *every* step, and resource sets are
@@ -53,50 +57,30 @@ strategies.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.model import Program, RunStatus
+from repro.core.model import Program
 from repro.core.policies import PolicyFactory
-from repro.engine.classify import classify_divergence
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig
-from repro.engine.results import (
-    Decision,
-    ExecutionResult,
-    ExplorationResult,
-    Outcome,
-    TraceStep,
-)
+from repro.engine.executor import ExecutorConfig, run_execution, sorted_options
+from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
-from repro.runtime.errors import PropertyViolation
+from repro.engine.strategies.por import (
+    Resources,
+    SleepSets,
+    dependent,
+    footprint,
+    reducer_config,
+)
+from repro.runtime.errors import UnsupportedConfiguration
 
-Resources = Optional[Tuple]
-
-
-def _sorted(values) -> list:
-    try:
-        return sorted(values)
-    except TypeError:
-        return sorted(values, key=repr)
-
-
-def _pending_resources(instance, tid) -> Resources:
-    """Resource footprint of ``tid``'s next transition, or None (unknown).
-
-    VM programs expose it through the pending operation; explicit
-    transition systems through :meth:`pending_resources` when their
-    threads declare footprints (``None`` otherwise — no reduction, every
-    pair conservatively dependent).
-    """
-    getter = getattr(instance, "pending_resources", None)
-    if getter is not None:
-        return getter(tid)
-    tasks = getattr(instance, "task", None)
-    if tasks is None:
-        return None
-    op = tasks(tid).pending
-    return None if op is None else op.resources()
+#: Outcomes whose still-pending operations join the race analysis: the
+#: execution ended at a final state, at a sleep-set block, or cut short
+#: by a failure (a depth bound or an abort analyzes nothing beyond it).
+_PENDING_ANALYZED = frozenset({
+    Outcome.TERMINATED, Outcome.DEADLOCK, Outcome.VISITED_PRUNED,
+    Outcome.VIOLATION, Outcome.CRASHED,
+})
 
 
 def _alive_pending(instance) -> List[Tuple]:
@@ -104,7 +88,7 @@ def _alive_pending(instance) -> List[Tuple]:
     out: List[Tuple] = []
     tasks = getattr(instance, "task", None)
     if tasks is not None:
-        for tid in _sorted(instance.thread_ids()):
+        for tid in sorted_options(instance.thread_ids()):
             task = tasks(tid)
             if not task.done and task.pending is not None:
                 out.append((tid, task.pending.resources()))
@@ -113,29 +97,38 @@ def _alive_pending(instance) -> List[Tuple]:
     if live is None:
         return out
     getter = getattr(instance, "pending_resources", None)
-    for tid in _sorted(live()):
+    for tid in sorted_options(live()):
         out.append((tid, getter(tid) if getter is not None else None))
     return out
 
 
-def _dependent(res_a: Resources, res_b: Resources) -> bool:
-    """Dependence of two steps of *different* threads by footprint."""
-    if res_a is None or res_b is None:
-        return True
-    return bool(set(res_a) & set(res_b))
+class DporRun(SleepSets):
+    """The source-DPOR reducer hook of one execution.
 
+    The option filter forces the current stack's choices and then the
+    wakeup tail (a list of thread ids), falling back to the first awake
+    schedulable thread; ``dones[k]`` — the siblings already explored at
+    stack node ``k`` — join the sleep set entering that node, like
+    ``available[:index]`` in the sleep-set walk.  The step observer
+    records every step's footprint, schedulable, enabled and sleep sets,
+    and :meth:`finish` the operations still pending at the end: the
+    per-step metadata the race analysis reads.
 
-def _independent_res(res_a: Resources, res_b: Resources) -> bool:
-    return not _dependent(res_a, res_b)
+    Recorded decisions index the full sorted schedulable set, so a DPOR
+    record replays through the ordinary guided replay; the guide this
+    chooser reports is the stack part of that, replayed verbatim.
+    """
 
-
-class DporRunMeta:
-    """Per-step metadata of one execution, input to the race analysis."""
-
-    __slots__ = ("tids", "resources", "schedulables", "enableds", "sleeps",
-                 "final_pending")
-
-    def __init__(self) -> None:
+    def __init__(self, stack: Sequence[dict], tail: Sequence, *,
+                 observer=None,
+                 on_final_state: Optional[Callable] = None) -> None:
+        super().__init__()
+        self._stack = stack
+        self._forced = [node["choice"] for node in stack] + list(tail)
+        self._dones = [node["done"] for node in stack]
+        self._observer = observer
+        self._on_final_state = on_final_state
+        self._index = 0
         self.tids: List = []
         self.resources: List[Resources] = []
         #: Sorted policy-schedulable set at each step (fairness-filtered).
@@ -144,7 +137,7 @@ class DporRunMeta:
         #: fair policy blocked from one the program itself disabled.
         self.enableds: List[frozenset] = []
         #: Sleep set *entering* each step (inherited ∪ done siblings).
-        self.sleeps: List[frozenset] = []
+        self.sleeps: List[Set] = []
         #: ``(tid, resources)`` of threads still alive at the end of the
         #: execution — blocked at a deadlock/terminal state, or cut short
         #: by a violation.  Their pending operations never executed, so
@@ -152,187 +145,84 @@ class DporRunMeta:
         #: like FG-DPOR's next-transitions instead.
         self.final_pending: List[Tuple] = []
 
+    @property
+    def guide(self) -> Sequence[int]:
+        """The decision indices of the stack part, replayed verbatim."""
+        return tuple(node["schedulable"].index(node["choice"])
+                     for node in self._stack)
 
-def _run_once_dpor(
-    program: Program,
-    policy,
-    schedule: Sequence,
-    dones: Sequence[Set],
-    *,
-    depth_bound: Optional[int],
-    depth_mode: str,
-    config: Optional[ExecutorConfig],
-    coverage: Optional[CoverageTracker],
-    observer=None,
-    on_final_state: Optional[Callable] = None,
-) -> Tuple[ExecutionResult, DporRunMeta]:
-    """One execution forced through ``schedule`` (a list of thread ids).
-
-    ``dones[k]`` holds the siblings already explored at node ``k`` of the
-    current stack; they join the sleep set entering that node, exactly
-    like ``available[:index]`` in the sleep-set walk.
-    """
-    instance = program.instantiate()
-    timers = observer.timers if observer is not None else None
-    for tid in _sorted(instance.thread_ids()):
-        policy.register_thread(tid)
-
-    meta = DporRunMeta()
-    decisions: List[Decision] = []
-    trace: List[TraceStep] = []
-    sleep: Set = set()
-    steps = 0
-    yields = 0
-    violation = None
-    divergence = None
-    hit_depth_bound = False
-    outcome = Outcome.TERMINATED
-    abandoned = False
-    if observer is not None:
-        observer.execution_started()
-
-    while True:
-        if coverage is not None:
-            if timers is not None:
-                t0 = time.perf_counter()
-                coverage.record(instance.state_signature())
-                timers.add("hash", time.perf_counter() - t0)
-            else:
-                coverage.record(instance.state_signature())
-        enabled = instance.enabled_threads()
-        if not enabled:
-            if instance.status() is RunStatus.TERMINATED:
-                outcome = Outcome.TERMINATED
-            else:
-                outcome = Outcome.DEADLOCK
-            # Threads still alive here never executed their pending
-            # operation; it must race like an executed step would
-            # (explicit systems report no-enabled as TERMINATED even
-            # when threads are merely blocked — collect on both paths).
-            meta.final_pending = _alive_pending(instance)
-            break
-        if depth_bound is not None and steps >= depth_bound:
-            hit_depth_bound = True
-            if depth_mode == "divergence":
-                window = max(16, min(
-                    config.divergence_window if config is not None else 256,
-                    steps // 2))
-                divergence = classify_divergence(
-                    trace, window=window,
-                    gs_schedule_threshold=(
-                        config.gs_schedule_threshold
-                        if config is not None else 8),
-                    observer=observer)
-                if observer is not None:
-                    observer.divergence(divergence)
-                outcome = Outcome.DIVERGENCE
-            else:
-                outcome = Outcome.DEPTH_PRUNED
-            break
-        if timers is not None:
-            t0 = time.perf_counter()
-            schedulable = policy.schedulable(enabled)
-            timers.add("policy", time.perf_counter() - t0)
-        else:
-            schedulable = policy.schedulable(enabled)
-        options = _sorted(schedulable)
-        effective_sleep = sleep | (dones[steps] if steps < len(dones)
-                                   else set())
-
-        tid = None
-        if steps < len(schedule) and not abandoned:
-            wanted = schedule[steps]
-            if wanted in schedulable:
-                tid = wanted
-            elif steps < len(dones):
+    def filter(self, instance, options: List, enabled) -> List:
+        self._instance = instance
+        if self._step is not None:
+            self._settle()
+        k = len(self.tids)
+        sleep = self.sleep
+        forced = self._forced
+        tid = forced[k] if k < len(forced) else None
+        if k < len(self._dones):
+            done = self._dones[k]
+            if done:
+                sleep = sleep.union(done)
+            if tid not in options:
                 # A stack node replays the exact path that produced it;
                 # the chosen thread must still be schedulable there.
                 raise ValueError("dpor replay diverged from its stack")
-            else:
-                # Wakeup tail made infeasible by the policy (fairness
-                # priorities shifted): abandon the rest of the forced
-                # suffix and fall back to the default extension.
-                abandoned = True
-                if observer is not None:
-                    observer.dpor_wakeup_abandoned()
+        elif tid is not None and tid not in options:
+            # Wakeup tail made infeasible by the policy (fairness
+            # priorities shifted): abandon the rest of the forced suffix
+            # and fall back to the default extension.
+            del forced[k:]
+            tid = None
+            if self._observer is not None:
+                self._observer.dpor_wakeup_abandoned()
         if tid is None:
-            for candidate in options:
-                if candidate not in effective_sleep:
-                    tid = candidate
+            for tid in options:
+                if tid not in sleep:
                     break
-        if tid is None:
-            # Everything schedulable is asleep: this branch only permutes
-            # independent transitions of an explored execution.  Its
-            # *blocked pending* operations are new information though —
-            # the equivalent explored execution reached this
-            # configuration mid-run (where pending ops are never
-            # analyzed) or with different guard values, so a race
-            # against a never-executed transition can be visible here
-            # and nowhere else.  Collect them; the insertion guards
-            # drop the redundant ones.
-            outcome = Outcome.VISITED_PRUNED
-            meta.final_pending = _alive_pending(instance)
-            if observer is not None:
-                observer.dpor_sleep_blocked()
-            break
+            else:
+                # Everything schedulable is asleep: this branch only
+                # permutes independent transitions of an explored
+                # execution.  Its *blocked pending* operations are new
+                # information though (see :meth:`finish`).
+                if self._observer is not None:
+                    self._observer.dpor_sleep_blocked()
+                return []
+        executed = footprint(instance, tid)
+        self._step = (tid, executed, sleep)
+        self.tids.append(tid)
+        self.resources.append(executed)
+        self.schedulables.append(options)
+        self.enableds.append(enabled)
+        self.sleeps.append(sleep)
+        self._index = options.index(tid)
+        return options
 
-        executed_res = _pending_resources(instance, tid)
-        meta.tids.append(tid)
-        meta.resources.append(executed_res)
-        meta.schedulables.append(options)
-        meta.enableds.append(frozenset(enabled))
-        meta.sleeps.append(frozenset(effective_sleep))
-        decisions.append(
-            Decision("thread", options.index(tid), len(options), tid))
-        if observer is not None:
-            observer.decision(steps, "thread", options.index(tid),
-                              len(options), tid, len(schedulable),
-                              len(enabled))
+    def pick(self, kind: str, options: int) -> int:
+        if kind == "thread":
+            return self._index
+        if options == 1:
+            return 0
+        raise UnsupportedConfiguration(
+            "strategy 'dpor' cannot branch on choose() data decisions: "
+            "its wakeup sequences name threads, not data values "
+            "(use dfs or por instead)")
 
-        t0 = time.perf_counter() if timers is not None else 0.0
-        try:
-            info = instance.step(tid)
-        except PropertyViolation as exc:
-            violation = exc
-            outcome = Outcome.VIOLATION
-            steps += 1
-            if timers is not None:
-                timers.add("execute", time.perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
-            meta.final_pending = [
-                (u, res) for u, res in _alive_pending(instance) if u != tid]
-            break
-        if timers is not None:
-            timers.add("execute", time.perf_counter() - t0)
-        policy.observe_step(info)
-        trace.append(TraceStep(tid, str(tid), info.operation, info.yielded,
-                               enabled))
-        steps += 1
-        if info.yielded:
-            yields += 1
-        sleep = {
-            u for u in effective_sleep
-            if u != tid and _independent_res(_pending_resources(instance, u),
-                                             executed_res)
-        }
-
-    if on_final_state is not None and outcome in (Outcome.TERMINATED,
-                                                  Outcome.DEADLOCK):
-        on_final_state(instance, outcome)
-
-    result = ExecutionResult(
-        outcome=outcome,
-        decisions=decisions,
-        steps=steps,
-        violation=violation,
-        divergence=divergence,
-        trace=tuple(trace[-256:]),
-        hit_depth_bound=hit_depth_bound,
-    )
-    if observer is not None:
-        observer.execution_finished(result, yields=yields)
-    return result, meta
+    def finish(self, instance, outcome) -> None:
+        super().finish(instance, outcome)
+        # Threads still alive never executed their pending operation; it
+        # must race like an executed step would.  After a sleep-set block
+        # this matters most: the equivalent explored execution reached
+        # this configuration mid-run (where pending operations are never
+        # analyzed) or with different guard values, so a race against a
+        # never-executed transition can be visible here and nowhere
+        # else; the insertion guards drop the redundant ones.  Explicit
+        # systems report no-enabled as TERMINATED even when threads are
+        # merely blocked, hence every final outcome collects.
+        if outcome in _PENDING_ANALYZED:
+            self.final_pending = _alive_pending(instance)
+        if (self._on_final_state is not None
+                and outcome in (Outcome.TERMINATED, Outcome.DEADLOCK)):
+            self._on_final_state(instance, outcome)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +243,7 @@ def _vector_clocks(tids: Sequence, resources: Sequence[Resources]) -> List[Dict]
                 continue
             if clock.get(tids[i], -1) >= i:
                 continue  # already ordered transitively
-            if _dependent(resources[i], resources[j]):
+            if dependent(resources[i], resources[j]):
                 for t, v in clocks[i].items():
                     if clock.get(t, -1) < v:
                         clock[t] = v
@@ -382,7 +272,7 @@ def _races(tids: Sequence, resources: Sequence[Resources],
                 continue  # concurrent with j: no edge to reverse
             if covered.get(tids[i], -1) >= i:
                 continue  # reaches j only through a later step
-            if tids[i] != tids[j] and _dependent(resources[i], resources[j]):
+            if tids[i] != tids[j] and dependent(resources[i], resources[j]):
                 races.append((i, j))
             for t, v in clocks[i].items():
                 if covered.get(t, -1) < v:
@@ -399,7 +289,7 @@ def _weak_initials(seq_tids: Sequence, seq_res: Sequence[Resources]) -> List:
         if tid in seen:
             continue
         seen.add(tid)
-        if not any(_dependent(seq_res[h], seq_res[pos])
+        if not any(dependent(seq_res[h], seq_res[pos])
                    for h in range(pos)):
             initials.append(tid)
     return initials
@@ -436,7 +326,7 @@ def _pending_clock(tids: Sequence, resources: Sequence[Resources],
             continue
         if clock.get(tids[i], -1) >= i:
             continue
-        if _dependent(resources[i], res_u):
+        if dependent(resources[i], res_u):
             for t, v in clocks[i].items():
                 if clock.get(t, -1) < v:
                     clock[t] = v
@@ -467,7 +357,7 @@ def _pending_races(tids: Sequence, resources: Sequence[Resources],
             continue  # concurrent with the pending op
         if covered.get(tids[i], -1) >= i:
             continue  # reaches it only through a later step
-        if tids[i] != u and _dependent(resources[i], res_u):
+        if tids[i] != u and dependent(resources[i], res_u):
             partners.append(i)
         for t, v in clocks[i].items():
             if covered.get(t, -1) < v:
@@ -520,20 +410,14 @@ class DporStrategy(SearchStrategy):
                 "source-DPOR cannot be confined to a decision prefix: "
                 "backtrack points are discovered dynamically and may land "
                 "inside any prefix; parallel plans use a single shard")
-        if depth_bound is None and config is not None:
-            depth_bound = config.depth_bound
-        self.depth_bound = depth_bound
-        mode = config.on_depth_exceeded if config is not None else "prune"
-        #: Random completion makes executions non-reproducible across the
-        #: race analysis; bounded DPOR prunes at the bound instead.
-        self.depth_mode = "divergence" if mode == "divergence" else "prune"
+        self.config = reducer_config(self.name, config, depth_bound)
         self.on_final_state = on_final_state
         #: One dict per node of the current exploration path.
         self.stack: List[dict] = []
         #: Forced wakeup-sequence suffix beyond the stack.
         self.tail: List = []
         self.exhausted = False
-        self._last_meta: Optional[DporRunMeta] = None
+        self._last_run: Optional[DporRun] = None
 
     def strategy_label(self) -> str:
         return "source-dpor"
@@ -543,25 +427,22 @@ class DporStrategy(SearchStrategy):
         return not self.exhausted
 
     def _run_once(self) -> ExecutionResult:
-        schedule = [node["choice"] for node in self.stack] + list(self.tail)
-        dones = [set(node["done"]) for node in self.stack]
-        record, meta = _run_once_dpor(
+        run = DporRun(self.stack, self.tail, observer=self.observer,
+                      on_final_state=self.on_final_state)
+        record = run_execution(
             self.program,
             self.policy_factory(),
-            schedule,
-            dones,
-            depth_bound=self.depth_bound,
-            depth_mode=self.depth_mode,
-            config=self.config,
+            run,
+            self.config,
             coverage=self.coverage,
             observer=self.observer,
-            on_final_state=self.on_final_state,
+            reducer=run,
         )
-        self._last_meta = meta
+        self._last_run = run
         return record
 
     def _advance(self, record: ExecutionResult) -> None:
-        meta, self._last_meta = self._last_meta, None
+        meta, self._last_run = self._last_run, None
         if meta is None:
             self.exhausted = True
             return
@@ -569,7 +450,7 @@ class DporStrategy(SearchStrategy):
         for k in range(len(self.stack), len(meta.tids)):
             self.stack.append({
                 "choice": meta.tids[k],
-                "inherited": _sorted(meta.sleeps[k]),
+                "inherited": sorted_options(meta.sleeps[k]),
                 "done": [],
                 "wakeups": [],
                 "schedulable": list(meta.schedulables[k]),
@@ -577,7 +458,7 @@ class DporStrategy(SearchStrategy):
         self._insert_backtracks(meta)
         self._backtrack()
 
-    def _insert_backtracks(self, meta: DporRunMeta) -> None:
+    def _insert_backtracks(self, meta: DporRun) -> None:
         tids, resources = meta.tids, meta.resources
         if not tids:
             return
@@ -585,27 +466,8 @@ class DporStrategy(SearchStrategy):
         for i, j in _races(tids, resources, clocks):
             if self.observer is not None:
                 self.observer.dpor_race_detected()
-            status = self._try_insert(meta, clocks, i, j)
-            # Lock handover: when the racing thread is *disabled* at node
-            # ``i`` (a release/acquire pair — the acquire can never move
-            # before the release), the reversal that exists is handing
-            # the whole critical section over, i.e. scheduling ``j``
-            # before the earlier dependent step of another thread
-            # (typically the matching acquire).  Walk back to it.
-            back = i
-            while status == "disabled":
-                back = next(
-                    (k for k in range(back - 1, -1, -1)
-                     if tids[k] != tids[j]
-                     and _dependent(resources[k], resources[j])),
-                    None)
-                if back is None:
-                    if self.observer is not None:
-                        self.observer.dpor_wakeup_pruned()
-                    break
-                status = self._try_insert(meta, clocks, back, j)
-                if status == "inserted" and self.observer is not None:
-                    self.observer.dpor_handover()
+            self._reverse(meta, clocks, i, tids[j], resources[j],
+                          self._try_insert, j)
         # A violation or blocking cut this execution short: threads with
         # a pending-but-never-executed operation race against the
         # executed steps they depend on, like FG-DPOR's next-transition
@@ -618,24 +480,35 @@ class DporStrategy(SearchStrategy):
             if self.observer is not None:
                 self.observer.dpor_race_detected()
             for i in partners:
-                status = self._try_insert_pending(meta, clocks, i, u, res_u)
-                back = i
-                while status == "disabled":
-                    back = next(
-                        (k for k in range(back - 1, -1, -1)
-                         if tids[k] != u
-                         and _dependent(resources[k], res_u)),
-                        None)
-                    if back is None:
-                        if self.observer is not None:
-                            self.observer.dpor_wakeup_pruned()
-                        break
-                    status = self._try_insert_pending(
-                        meta, clocks, back, u, res_u)
-                    if status == "inserted" and self.observer is not None:
-                        self.observer.dpor_handover()
+                self._reverse(meta, clocks, i, u, res_u,
+                              self._try_insert_pending, u, res_u)
 
-    def _try_insert_pending(self, meta: DporRunMeta, clocks, i: int,
+    def _reverse(self, meta: DporRun, clocks, i: int, u, res_u: Resources,
+                 insert: Callable, *args) -> None:
+        """Queue the reversal of a race of thread ``u`` at node ``i``
+        through ``insert(meta, clocks, node, *args)``.
+
+        Lock handover: when ``u`` is *disabled* at node ``i`` (a
+        release/acquire pair — the acquire can never move before the
+        release), the reversal that exists is handing the whole critical
+        section over, i.e. scheduling ``u`` before the earlier dependent
+        step of another thread (typically the matching acquire).  Walk
+        back to it.
+        """
+        status = insert(meta, clocks, i, *args)
+        while status == "disabled":
+            i = next((k for k in range(i - 1, -1, -1)
+                      if meta.tids[k] != u
+                      and dependent(meta.resources[k], res_u)), None)
+            if i is None:
+                if self.observer is not None:
+                    self.observer.dpor_wakeup_pruned()
+                return
+            status = insert(meta, clocks, i, *args)
+            if status == "inserted" and self.observer is not None:
+                self.observer.dpor_handover()
+
+    def _try_insert_pending(self, meta: DporRun, clocks, i: int,
                             u, res_u: Resources) -> str:
         """Queue the reversal of the race between step ``i`` and thread
         ``u``'s never-executed pending transition: the steps after ``i``
@@ -649,7 +522,7 @@ class DporStrategy(SearchStrategy):
         seq_res = [resources[k] for k in idxs] + [res_u]
         return self._queue_wakeup(meta, i, seq, _weak_initials(seq, seq_res))
 
-    def _try_insert(self, meta: DporRunMeta, clocks, i: int, j: int) -> str:
+    def _try_insert(self, meta: DporRun, clocks, i: int, j: int) -> str:
         """Queue the wakeup sequence for race ``(i, j)`` at node ``i``.
 
         Returns ``"inserted"``, ``"pruned"`` (redundant — an equivalent
@@ -661,7 +534,7 @@ class DporStrategy(SearchStrategy):
         idxs, initials = _wakeup_sequence(i, j, tids, resources, clocks)
         return self._queue_wakeup(meta, i, [tids[k] for k in idxs], initials)
 
-    def _queue_wakeup(self, meta: DporRunMeta, i: int, seq: List,
+    def _queue_wakeup(self, meta: DporRun, i: int, seq: List,
                       initials: List) -> str:
         node = self.stack[i]
         wi = set(initials)
@@ -719,7 +592,6 @@ class DporStrategy(SearchStrategy):
             "stack": [dict(node) for node in self.stack],
             "tail": list(self.tail),
             "exhausted": self.exhausted,
-            "depth_bound": self.depth_bound,
         }
 
     def _load_frontier(self, state: dict) -> None:
@@ -735,7 +607,6 @@ class DporStrategy(SearchStrategy):
         ]
         self.tail = list(state.get("tail", []))
         self.exhausted = bool(state.get("exhausted", False))
-        self.depth_bound = state.get("depth_bound", self.depth_bound)
 
 
 def explore_source_dpor(

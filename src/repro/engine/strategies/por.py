@@ -20,341 +20,170 @@ the runtime contract that all shared effects go through operations (plain
 Python code between scheduling points is thread-local) — the same
 contract the precise-signature machinery uses.
 
+The reduction is a per-execution *reducer* hook of
+:func:`~repro.engine.executor.run_execution`: :class:`SleepSets` is a
+guided chooser that filters the sleeping threads out of every option list
+and settles the next state's sleep set from the footprint of the step
+just taken.  :class:`SleepSetStrategy` is plain DFS with that hook, so the
+whole program contract (invariants, temporal monitors, ``choose()``,
+execution budgets, crash capture) holds by construction.
+
 Because the search is stateless, the sleep sets along a replayed prefix
 are recomputed deterministically from the guide: at a decision with
 chosen index ``k``, the already-explored siblings are exactly
-``available[:k]``.
+``available[:k]``.  A prefix snapshot stores the sleep set at its
+snapshot point as the hook's state.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Optional, Set
+import dataclasses
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.chaos.faults import InjectedFault, fault_at
-from repro.core.model import Program, RunStatus
+from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig
-from repro.engine.results import Decision, ExecutionResult, ExplorationResult, Outcome, TraceStep
-from repro.engine.snapshots import PrefixSnapshotCache
-from repro.engine.strategies.base import (
-    ExplorationLimits,
-    SearchStrategy,
-    next_dfs_guide,
-)
-from repro.runtime.errors import PropertyViolation
+from repro.engine.executor import ExecutorConfig, GuidedChooser
+from repro.engine.results import ExecutionResult, ExplorationResult
+from repro.engine.strategies.base import ExplorationLimits
+from repro.engine.strategies.dfs import DfsStrategy
+from repro.runtime.errors import UnsupportedConfiguration
+
+Resources = Optional[Tuple]
 
 
-def _independent(op_a, op_b) -> bool:
-    """Independence of two pending operations of *different* threads."""
-    resources_a = op_a.resources() if op_a is not None else None
-    if resources_a is None:
-        return False
-    resources_b = op_b.resources() if op_b is not None else None
-    if resources_b is None:
-        return False
-    return not (set(resources_a) & set(resources_b))
+def footprint(instance, tid) -> Resources:
+    """Resource footprint of ``tid``'s next transition, or None (unknown).
+
+    VM programs expose it through the pending operation; explicit
+    transition systems through :meth:`pending_resources` when their
+    threads declare footprints (``None`` otherwise — no reduction, every
+    pair conservatively dependent).
+    """
+    tasks = getattr(instance, "task", None)
+    if tasks is not None:
+        op = tasks(tid).pending
+        return None if op is None else op.resources()
+    getter = getattr(instance, "pending_resources", None)
+    return None if getter is None else getter(tid)
 
 
-def _pending_op(instance, tid):
-    getter = getattr(instance, "task", None)
-    if getter is None:
-        return None  # explicit systems: no op objects — no reduction
-    return getter(tid).pending
+def dependent(res_a: Resources, res_b: Resources) -> bool:
+    """Dependence of two transitions of *different* threads by footprint."""
+    if res_a is None or res_b is None:
+        return True
+    return bool(set(res_a) & set(res_b))
 
 
-def _sorted(values) -> list:
-    try:
-        return sorted(values)
-    except TypeError:
-        return sorted(values, key=repr)
+def reducer_config(strategy: str, config: Optional[ExecutorConfig],
+                   depth_bound: Optional[int]) -> ExecutorConfig:
+    """The executor configuration a partial-order reduction runs under.
 
-
-def _run_once_with_sleep(
-    program: Program,
-    policy,
-    guide: List[int],
-    *,
-    depth_bound: Optional[int],
-    coverage: Optional[CoverageTracker],
-    observer=None,
-    snapshot_cache: Optional[PrefixSnapshotCache] = None,
-) -> ExecutionResult:
-    """One execution with sleep sets carried along the path."""
-    instance = program.instantiate()
-    timers = observer.timers if observer is not None else None
-    profiler = observer.profiler if observer is not None else None
-
-    # Prefix-snapshot restore (docs/performance.md): the sleep set at the
-    # snapshot point rides along in the entry's extras, and the restored
-    # fast-forward skips local monitors because this loop never runs them.
-    restored = None
-    if snapshot_cache is not None and hasattr(instance, "fast_forward"):
-        t0 = time.perf_counter() if timers is not None else 0.0
-        restored = snapshot_cache.lookup(
-            guide, need_signatures=coverage is not None)
-        if restored is not None:
-            try:
-                rule = fault_at("snapshot.restore", steps=restored.steps)
-                if rule is not None:
-                    raise InjectedFault(
-                        f"injected snapshot.restore fault ({rule.kind})")
-                instance.fast_forward(restored.decisions, run_monitors=False)
-            except Exception:  # noqa: BLE001 - determinism-contract guard
-                snapshot_cache.clear(failure=True)
-                closer = getattr(instance, "close", None)
-                if closer is not None:
-                    closer()
-                instance = program.instantiate()
-                restored = None
-        if timers is not None:
-            timers.add("snapshot", time.perf_counter() - t0)
-        if observer is not None:
-            observer.snapshot_lookup(
-                restored is not None,
-                restored.steps if restored is not None else 0)
-
-    if restored is not None:
-        policy = restored.restore_policy(policy)
-        decisions: List[Decision] = list(restored.decisions)
-        trace: List[TraceStep] = list(restored.trace)
-        sleep: Set = set(restored.extras.get("sleep", ()))
-        cursor = len(restored.decisions)
-        steps = restored.steps
-        yields = restored.yields
-        if coverage is not None and restored.signatures:
-            for signature in restored.signatures:
-                coverage.record(signature)
-    else:
-        for tid in _sorted(instance.thread_ids()):
-            policy.register_thread(tid)
-        decisions = []
-        trace = []
-        sleep = set()
-        cursor = 0
-        steps = 0
-        yields = 0
-
-    if profiler is not None:
-        pnode = profiler.enter(d.index for d in decisions)
-        pmark = time.perf_counter()
-    else:
-        pnode = None
-        pmark = 0.0
-
-    track_signatures = snapshot_cache is not None and coverage is not None
-    prefix_signatures: List = (list(restored.signatures or ())
-                               if restored is not None else [])
-    violation = None
-    outcome = Outcome.TERMINATED
-    if observer is not None:
-        observer.execution_started()
-
-    while True:
-        if (snapshot_cache is not None and steps > 0
-                and steps % snapshot_cache.interval == 0):
-            t0 = time.perf_counter() if timers is not None else 0.0
-            snapshot_cache.capture(
-                decisions=decisions,
-                steps=steps,
-                policy=policy,
-                yields=yields,
-                trace=trace[-256:],
-                signatures=(prefix_signatures if track_signatures else None),
-                extras={"sleep": frozenset(sleep)},
-            )
-            if timers is not None:
-                timers.add("snapshot", time.perf_counter() - t0)
-        if coverage is not None:
-            if timers is not None:
-                t0 = time.perf_counter()
-                signature = instance.state_signature()
-                coverage.record(signature)
-                timers.add("hash", time.perf_counter() - t0)
-            else:
-                signature = instance.state_signature()
-                coverage.record(signature)
-            if track_signatures:
-                prefix_signatures.append(signature)
-        enabled = instance.enabled_threads()
-        if not enabled:
-            outcome = (Outcome.TERMINATED
-                       if instance.status() is RunStatus.TERMINATED
-                       else Outcome.DEADLOCK)
-            break
-        if depth_bound is not None and steps >= depth_bound:
-            outcome = Outcome.DEPTH_PRUNED
-            break
-        if timers is not None:
-            t0 = time.perf_counter()
-            schedulable = policy.schedulable(enabled)
-            timers.add("policy", time.perf_counter() - t0)
-            state = getattr(policy, "algorithm_state", None)
-            if state is not None:
-                observer.priority_relation(state.priority.edge_count())
-        else:
-            schedulable = policy.schedulable(enabled)
-        available = [t for t in _sorted(schedulable) if t not in sleep]
-        if not available:
-            # Everything schedulable is asleep: this execution is a
-            # redundant permutation of one already explored.
-            outcome = Outcome.VISITED_PRUNED
-            break
-        if cursor < len(guide):
-            index = guide[cursor]
-            if not 0 <= index < len(available):
-                raise ValueError("sleep-set replay diverged from guide")
-        else:
-            index = 0
-        cursor += 1
-        tid = available[index]
-        decisions.append(Decision("thread", index, len(available), tid))
-        if profiler is not None:
-            pnode = profiler.descend(pnode, index)
-        if observer is not None:
-            observer.decision(steps, "thread", index, len(available), tid,
-                              len(schedulable), len(enabled))
-
-        executed_op = _pending_op(instance, tid)
-        # Sleep set of the child: previously sleeping threads plus the
-        # already-explored siblings, kept only while independent of the
-        # executed transition.
-        inherited = sleep | set(available[:index])
-        t0 = time.perf_counter() if timers is not None else 0.0
-        try:
-            info = instance.step(tid)
-        except PropertyViolation as exc:
-            violation = exc
-            outcome = Outcome.VIOLATION
-            steps += 1
-            if timers is not None:
-                timers.add("execute", time.perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
-            break
-        if timers is not None:
-            timers.add("execute", time.perf_counter() - t0)
-        policy.observe_step(info)
-        trace.append(TraceStep(tid, str(tid), info.operation, info.yielded,
-                               enabled))
-        steps += 1
-        if observer is not None and info.yielded:
-            yields += 1
-        sleep = {
-            u for u in inherited
-            if u != tid and _independent(_pending_op(instance, u),
-                                         executed_op)
-        }
-        if profiler is not None:
-            now = time.perf_counter()
-            profiler.add_step(pnode, now - pmark)
-            pmark = now
-
-    result = ExecutionResult(
-        outcome=outcome,
-        decisions=decisions,
-        steps=steps,
-        violation=violation,
-        trace=tuple(trace[-256:]),
+    Sleep sets and DPOR are not sound under a preemption bound without
+    bounded-POR machinery (Coons, Musuvathi and McKinley, OOPSLA 2013),
+    so a bound is refused instead of ignored.  At the depth bound a fair
+    search still reports divergences; every other mode prunes, because
+    random completion would leave the tree the reduction reasons about.
+    """
+    if config is None:
+        config = ExecutorConfig(on_depth_exceeded="prune")
+    if config.preemption_bound is not None:
+        raise UnsupportedConfiguration(
+            f"strategy {strategy!r} cannot honour preemption_bound="
+            f"{config.preemption_bound}: sleep sets and DPOR are unsound "
+            f"under a preemption bound (use dfs or icb instead)")
+    return dataclasses.replace(
+        config,
+        depth_bound=config.depth_bound if depth_bound is None else depth_bound,
+        on_depth_exceeded=("divergence"
+                           if config.on_depth_exceeded == "divergence"
+                           else "prune"),
     )
-    if profiler is not None:
-        profiler.finish_execution(pnode, time.perf_counter() - pmark)
-    if observer is not None:
-        if guide:
-            limit = min(len(guide), len(decisions))
-            replayed = limit - (restored.steps if restored is not None else 0)
-            observer.prefix_replayed(max(0, replayed))
-        observer.execution_finished(result, yields=yields)
-    return result
 
 
-class SleepSetStrategy(SearchStrategy):
+class SleepSets(GuidedChooser):
+    """The sleep-set reducer hook of one execution.
+
+    As a chooser it follows the DFS guide over the *awake* options; as the
+    option filter it drops the sleeping threads.  The step observer is
+    :meth:`pick`: it notes the footprint of the transition about to run
+    and the sleep set the child inherits, which is settled into the next
+    state's sleep set once the step has executed.
+    """
+
+    def __init__(self, guide: Sequence[int] = ()) -> None:
+        super().__init__(guide)
+        self.sleep: Set = set()
+        self._instance = None
+        self._options: List = []
+        #: ``(tid, footprint, inherited sleep)`` of the step in flight.
+        self._step: Optional[tuple] = None
+
+    def filter(self, instance, options: List, enabled) -> List:
+        self._instance = instance
+        if self._step is not None:
+            self._settle()
+        sleep = self.sleep
+        self._options = [t for t in options if t not in sleep]
+        return self._options
+
+    def pick(self, kind: str, options: int) -> int:
+        index = super().pick(kind, options)
+        if kind == "thread":
+            awake = self._options
+            tid = awake[index]
+            self._step = (tid, footprint(self._instance, tid),
+                          self.sleep.union(awake[:index]))
+        return index
+
+    def _settle(self) -> None:
+        """The inherited threads stay asleep while independent of the
+        step just executed (their pending operations are read after it)."""
+        tid, executed, inherited = self._step
+        self._step = None
+        if inherited:
+            instance = self._instance
+            inherited = {u for u in inherited
+                         if u != tid and not dependent(footprint(instance, u),
+                                                       executed)}
+        self.sleep = inherited
+
+    def snapshot_state(self) -> FrozenSet:
+        """The sleep set of the current state."""
+        if self._step is not None:
+            self._settle()
+        return frozenset(self.sleep)
+
+    def restore_state(self, sleep: FrozenSet) -> None:
+        self.sleep = set(sleep)
+
+    def finish(self, instance, outcome) -> None:
+        # The instance holds this chooser through its data-choice
+        # handler: drop the way back so the two are freed as soon as the
+        # execution ends, not by the cyclic collector.
+        self._instance = None
+
+
+class SleepSetStrategy(DfsStrategy):
     """Depth-first search with sleep-set partial-order reduction.
 
-    The frontier is the same (guide) shape as plain DFS; the sleep sets
-    themselves are recomputed deterministically from the guide on every
-    execution, so they need no checkpoint state of their own.
+    Plain DFS with the :class:`SleepSets` hook: the frontier is the DFS
+    guide, and the sleep sets are recomputed from it on every execution,
+    so they need no checkpoint state of their own.  A prefix partition of
+    the reduced tree is exact, like plain DFS.
     """
 
     name = "por"
+    reducer = SleepSets
 
-    def __init__(
-        self,
-        program: Program,
-        policy_factory: PolicyFactory,
-        *,
-        depth_bound: Optional[int] = None,
-        limits: Optional[ExplorationLimits] = None,
-        prefix: Optional[List[int]] = None,
-        coverage: Optional[CoverageTracker] = None,
-        listener: Optional[Callable[[ExecutionResult], None]] = None,
-        observer=None,
-        resilience=None,
-        config: Optional[ExecutorConfig] = None,
-    ) -> None:
-        super().__init__(
-            program,
-            policy_factory,
-            config,
-            limits,
-            coverage=coverage,
-            listener=listener,
-            observer=observer,
-            resilience=resilience,
-        )
-        self.depth_bound = depth_bound
-        #: Pinned decisions confining the search to one subtree.  Sleep
-        #: sets are a deterministic function of the guide, so a prefix
-        #: partition of the reduced tree is exact, like plain DFS.
-        self.prefix: List[int] = list(prefix or [])
-        self.guide: Optional[List[int]] = list(self.prefix)
-        #: Prefix-snapshot cache; the sleep-set walk visits guides in
-        #: lexicographic order, so DFS-style eager invalidation applies.
-        self.snapshot_cache = PrefixSnapshotCache.from_config(
-            config, program, observer=observer)
-
-    def strategy_label(self) -> str:
-        return "dfs+sleepsets"
-
-    # ------------------------------------------------------------------
-    def _has_work(self) -> bool:
-        return self.guide is not None
-
-    def _run_once(self) -> ExecutionResult:
-        return _run_once_with_sleep(
-            self.program,
-            self.policy_factory(),
-            self.guide,
-            depth_bound=self.depth_bound,
-            coverage=self.coverage,
-            observer=self.observer,
-            snapshot_cache=self.snapshot_cache,
-        )
-
-    def _advance(self, record: ExecutionResult) -> None:
-        self.guide = next_dfs_guide(record.decisions)
-        if self.guide is not None and len(self.guide) <= len(self.prefix):
-            self.guide = None
-        if self.snapshot_cache is not None:
-            if self.guide is None:
-                self.snapshot_cache.clear()
-            else:
-                self.snapshot_cache.invalidate_not_prefix_of(self.guide)
-
-    def _announce(self) -> None:
-        if self.observer is not None and self.guide is not None:
-            self.observer.backtrack(len(self.guide))
-
-    # ------------------------------------------------------------------
-    def _frontier_state(self) -> dict:
-        return {"guide": self.guide, "prefix": self.prefix,
-                "depth_bound": self.depth_bound}
-
-    def _load_frontier(self, state: dict) -> None:
-        self.guide = state.get("guide", [])
-        self.prefix = list(state.get("prefix", []))
-        self.depth_bound = state.get("depth_bound", self.depth_bound)
+    def __init__(self, program: Program, policy_factory: PolicyFactory, *,
+                 depth_bound: Optional[int] = None,
+                 config: Optional[ExecutorConfig] = None, **kwargs) -> None:
+        """``kwargs`` are :class:`DfsStrategy`'s (limits, prefix,
+        coverage, listener, observer, resilience)."""
+        super().__init__(program, policy_factory,
+                         reducer_config(self.name, config, depth_bound),
+                         strategy_name="dfs+sleepsets", **kwargs)
 
 
 def explore_dfs_sleepsets(

@@ -40,10 +40,9 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.coverage import CoverageTracker
-from repro.engine.replay import replay_schedule
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
 from repro.engine.strategies import ExplorationLimits, merge_sweeps
-from repro.engine.strategies.por import _run_once_with_sleep
+from repro.engine.strategies.por import SleepSets, reducer_config
 from repro.engine.executor import GuidedChooser, run_execution
 from repro.parallel.shard import (
     DEFAULT_SHARD_TARGET,
@@ -135,6 +134,8 @@ class ParallelCoordinator:
             )
         if workers < 1:
             raise ValueError("workers must be positive")
+        if strategy in ("por", "dpor"):
+            config = reducer_config(strategy, config, None)
         self.program = program
         self.policy_factory = policy_factory
         self.config = config
@@ -225,17 +226,18 @@ class ParallelCoordinator:
     def _probe(self, prefix: List[int], bound: Optional[int]):
         """One planner probe: the execution the strategy itself would run
         for this prefix (so branching factors match exactly)."""
-        if self.strategy == "por":
-            return _run_once_with_sleep(
-                self.program, self.policy_factory(), prefix,
-                depth_bound=self.config.depth_bound, coverage=None,
-            )
         config = self.config
         if bound is not None:
             config = dataclasses.replace(config, preemption_bound=bound)
+        return self._run_guided(prefix, config)
+
+    def _run_guided(self, guide: List[int], config) -> ExecutionResult:
+        """One execution along ``guide``, steered the way the strategy
+        steers it (sleep-set POR indexes the awake options)."""
+        reducer = SleepSets(guide) if self.strategy == "por" else None
         return run_execution(
-            self.program, self.policy_factory(), GuidedChooser(prefix),
-            config,
+            self.program, self.policy_factory(),
+            reducer or GuidedChooser(guide), config, reducer=reducer,
         )
 
     def _plan_phase(self, bound: Optional[int]) -> ShardPlan:
@@ -965,7 +967,7 @@ class ParallelCoordinator:
         """Shard results travel trace-less (schedules replay
         deterministically); rebuild the traces of the records
         ``CheckResult.report`` prints."""
-        config = self.config
+        config = dataclasses.replace(self.config, trace_window=100_000)
         if bound is not None:
             config = dataclasses.replace(config, preemption_bound=bound)
         for records in (merged.violations, merged.deadlocks,
@@ -974,15 +976,7 @@ class ParallelCoordinator:
                 continue
             record = records[0]
             try:
-                if self.strategy == "por":
-                    replayed = _run_once_with_sleep(
-                        self.program, self.policy_factory(),
-                        record.schedule,
-                        depth_bound=self.config.depth_bound, coverage=None)
-                else:
-                    replayed = replay_schedule(
-                        self.program, record.schedule,
-                        self.policy_factory, config)
+                replayed = self._run_guided(record.schedule, config)
             except Exception:  # pragma: no cover - replay divergence
                 continue
             if replayed.outcome is record.outcome:

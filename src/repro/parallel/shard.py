@@ -131,7 +131,7 @@ def plan_prefix_shards(
 
     ``probe`` runs one guided execution for a prefix and returns its
     record; it must be the same executor the sharded strategy uses
-    (plain guided replay for dfs/bfs/icb, the sleep-set walker for por)
+    (plain guided replay for dfs/bfs/icb, the sleep-set hook for por)
     so the branching factors match the strategy's own view of the tree.
     """
     if target < 1:

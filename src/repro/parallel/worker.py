@@ -90,7 +90,7 @@ def build_shard_strategy(
         # config rides along so each shard builds its own prefix-snapshot
         # cache (caches are never shared across processes).
         return SleepSetStrategy(
-            program, policy_factory, depth_bound=config.depth_bound,
+            program, policy_factory,
             limits=limits, prefix=list(shard.prefix),
             coverage=coverage, listener=listener, resilience=resilience,
             config=config, observer=observer,
@@ -101,8 +101,7 @@ def build_shard_strategy(
         if shard.prefix:
             raise ValueError("dpor shards must have an empty prefix")
         return DporStrategy(
-            program, policy_factory, depth_bound=config.depth_bound,
-            limits=limits,
+            program, policy_factory, limits=limits,
             coverage=coverage, listener=listener, resilience=resilience,
             config=config, observer=observer,
         )

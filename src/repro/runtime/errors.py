@@ -22,6 +22,15 @@ class ScheduleError(ReproError):
     """
 
 
+class UnsupportedConfiguration(ReproError, ValueError):
+    """A search strategy refuses an option it cannot honour soundly.
+
+    E.g. a preemption bound under sleep sets or DPOR.  A refusal is a
+    usage error: the executor re-raises it even with crash capture on,
+    and the CLI exits 2.
+    """
+
+
 class PropertyViolation(ReproError):
     """A safety property of the program under test was violated."""
 

@@ -298,8 +298,7 @@ class NativeInstance(ProgramInstance):
 
     # ------------------------------------------------------------------
     def fast_forward(self, decisions, *,
-                     per_step: Optional[Callable[["NativeInstance"], None]] = None,
-                     run_monitors: bool = True) -> int:
+                     per_step: Optional[Callable[["NativeInstance"], None]] = None) -> int:
         """Replay a recorded decision prefix without the engine loop.
 
         The native runtime's prefix-snapshot restore.  Real OS threads
@@ -348,11 +347,10 @@ class NativeInstance(ProgramInstance):
                 self.step(decision.chosen)
                 if per_step is not None:
                     per_step(self)
-                if run_monitors:
-                    for monitor in self.monitors:
-                        monitor()
-                    for temporal in self.temporal_monitors:
-                        temporal.observe()
+                for monitor in self.monitors:
+                    monitor()
+                for temporal in self.temporal_monitors:
+                    temporal.observe()
                 executed += 1
         finally:
             self.data_choice_handler = saved_handler

@@ -63,8 +63,8 @@ class CoverageReport:
     #: Every state signature touched along any explored execution.
     states: FrozenSet
     #: Signatures of final states of TERMINATED/DEADLOCK executions
-    #: (None when the strategy's runner cannot expose final instances —
-    #: the sleep-set walker).
+    #: (None when the runner keeps no final instances — the sleep-set
+    #: audit, which compares states only).
     terminal_states: Optional[FrozenSet]
     #: The deadlocked subset of ``terminal_states``.
     deadlock_states: Optional[FrozenSet]

@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.checker import Checker
 from repro.core.policies import fair_policy, nonfair_policy
 from repro.engine.coverage import CoverageTracker
@@ -178,6 +180,45 @@ class TestSleepSetTelemetry:
         assert counters["executions"] == result.executions
         assert len(sink.of_type(ExecutionStarted)) == result.executions
         assert observer.timers.seconds("execute") > 0
+
+
+class TestTelemetryParity:
+    """The reducers emit dfs's core telemetry: decision-profiler nodes, a
+    replayed prefix on guided backtracks, and trace steps named by task."""
+
+    def run(self, strategy):
+        from repro.engine.strategies import (
+            DfsStrategy,
+            DporStrategy,
+            SleepSetStrategy,
+        )
+        from repro.obs.profile import DecisionProfiler
+
+        observer = Observer(profiler=DecisionProfiler())
+        records = []
+        program = dining_philosophers(2)
+        common = dict(observer=observer, listener=records.append)
+        if strategy == "dfs":
+            search = DfsStrategy(program, fair_policy(),
+                                 ExecutorConfig(depth_bound=200),
+                                 ExplorationLimits(), **common)
+        else:
+            cls = SleepSetStrategy if strategy == "por" else DporStrategy
+            search = cls(program, fair_policy(), depth_bound=200,
+                         limits=ExplorationLimits(), **common)
+        return search.explore(), observer, records
+
+    @pytest.mark.parametrize("strategy", ["dfs", "por", "dpor"])
+    def test_reducers_match_dfs(self, strategy):
+        result, observer, records = self.run(strategy)
+        profiler = observer.profiler
+        assert profiler.executions == result.executions > 1
+        assert profiler.nodes > 1
+        replayed = observer.metrics.counter("executions.replayed_steps")
+        assert replayed.value > 0
+        names = {step.thread_name
+                 for record in records for step in record.trace}
+        assert names == {"Phil1", "Phil2"}
 
 
 class TestBacktrackEvents:
