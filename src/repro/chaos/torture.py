@@ -38,10 +38,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.chaos.faults import WriteRecorder, install_recorder, \
     uninstall_recorder
 from repro.checker import Checker
+from repro.engine.strategies import STRATEGIES
 from repro.resilience import CheckpointStore
 from repro.workloads.dining import dining_philosophers
-
-STRATEGIES = ("dfs", "bfs", "random", "por", "icb", "dpor")
 
 
 @dataclass
@@ -185,7 +184,6 @@ def _checker(strategy: str, workdir: Path,
         depth_bound=60,
         max_executions=max_executions,
         random_executions=max_executions,
-        preemption_bound=2 if strategy == "icb" else None,
         checkpoint_path=str(workdir / "search.ckpt"),
         checkpoint_interval=1,
         handle_signals=False,

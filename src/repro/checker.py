@@ -42,25 +42,13 @@ from repro.engine.results import (
     Outcome,
     format_trace,
 )
-from repro.engine.strategies import (
-    BfsStrategy,
-    DfsStrategy,
-    DporStrategy,
-    ExplorationLimits,
-    IcbStrategy,
-    RandomWalkStrategy,
-    SleepSetStrategy,
-    merge_sweeps,
-)
+from repro.engine.strategies import ExplorationLimits, strategy_class
 from repro.resilience import (
     CheckpointStore,
     GracefulStop,
     ResilienceController,
     ResilienceOptions,
 )
-
-#: Back-compat alias (the merge logic moved to the strategies package).
-_merge_sweeps = merge_sweeps
 
 #: Divergence kinds that indicate program errors (as opposed to the
 #: unfair divergences a baseline unfair search wastes time on).
@@ -248,52 +236,26 @@ class Checker:
             max_crashes=max_crashes,
         )
 
-    def _make_strategy(self, resilience=None):
-        """Build the strategy object for this checker's configuration."""
-        if self.strategy == "dfs":
-            return DfsStrategy(
+    def _make_search(self, resilience):
+        """The search for this checker's configuration: the strategy, or
+        the parallel coordinator that shards it (which answers
+        ``explore()`` and ``load_state_dict()`` the same way)."""
+        common = dict(seed=self.seed, executions=self.random_executions,
+                      coverage=self.coverage, observer=self.observer,
+                      resilience=resilience)
+        if self.workers > 1:
+            from repro.parallel import ParallelCoordinator
+
+            return ParallelCoordinator(
                 self.program, self.policy_factory, self.config, self.limits,
-                coverage=self.coverage, observer=self.observer,
-                resilience=resilience,
-            )
-        if self.strategy == "icb":
-            # Iterative context bounding: sweep preemption bounds 0..max
-            # (the PLDI'07 strategy); `preemption_bound` is the ceiling.
-            ceiling = (self.config.preemption_bound
-                       if self.config.preemption_bound is not None else 2)
-            return IcbStrategy(
-                self.program, self.policy_factory, ceiling,
-                dataclasses.replace(self.config, preemption_bound=None),
-                self.limits, coverage=self.coverage,
-                stop_on_violation=self.limits.stop_on_first_violation,
-                observer=self.observer, resilience=resilience,
-            )
-        if self.strategy == "bfs":
-            return BfsStrategy(
-                self.program, self.policy_factory, self.config, self.limits,
-                coverage=self.coverage, observer=self.observer,
-                resilience=resilience,
-            )
-        if self.strategy == "random":
-            return RandomWalkStrategy(
-                self.program, self.policy_factory, self.config, self.limits,
-                executions=self.random_executions, seed=self.seed,
-                coverage=self.coverage, observer=self.observer,
-                resilience=resilience,
-            )
-        if self.strategy in ("por", "dpor"):
-            # Both refuse a preemption bound, including one set on
-            # self.config after construction (as `repro demo` does).
-            cls = SleepSetStrategy if self.strategy == "por" else DporStrategy
-            return cls(
-                self.program, self.policy_factory, limits=self.limits,
-                coverage=self.coverage, observer=self.observer,
-                resilience=resilience, config=self.config,
-            )
-        raise ValueError(
-            f"unknown strategy {self.strategy!r} "
-            f"(expected 'dfs', 'icb', 'bfs', 'random', 'por' or 'dpor')"
-        )
+                strategy=self.strategy, workers=self.workers,
+                shard_target=self.shard_target,
+                resilience_options=self.resilience_options,
+                heartbeat_interval=self.heartbeat_interval,
+                wedge_timeout=self.wedge_timeout, **common)
+        return strategy_class(self.strategy).create(
+            self.program, self.policy_factory, self.config, self.limits,
+            **common)
 
     def run(self, *, resume_from: Optional[str] = None) -> CheckResult:
         """Run the search; ``resume_from`` continues a saved checkpoint.
@@ -307,8 +269,6 @@ class Checker:
         of worker processes (docs/parallel.md); counted sweeps merge to
         the same totals and verdicts as a serial run.
         """
-        if self.workers > 1:
-            return self._run_parallel(resume_from)
         options = self.resilience_options
         controller = None
         if (options.enabled or resume_from is not None
@@ -319,35 +279,30 @@ class Checker:
                 policy_name=self.policy_factory().name,
                 config=self.config,
                 observer=self.observer,
+                strategy=self.strategy,
             )
             if self.external_stop is not None:
                 controller.attach_stop(self.external_stop)
-        strategy = self._make_strategy(resilience=controller)
+        search = self._make_search(controller)
         resume_warnings: List[str] = []
         if resume_from is not None:
             payload, resume_warnings = self._load_resume(resume_from)
-            strategy.load_state_dict(payload["state"])
+            search.load_state_dict(payload["state"])
 
         with self._search_span():
             if (controller is not None and options.handle_signals
                     and self.external_stop is None):
                 with GracefulStop() as stop:
                     controller.attach_stop(stop)
-                    raw = strategy.explore()
+                    exploration = search.explore()
             else:
-                raw = strategy.explore()
-
-        if self.strategy == "icb":
-            exploration = merge_sweeps(self.program.name,
-                                       self.policy_factory().name, raw)
-        else:
-            exploration = raw
+                exploration = search.explore()
 
         return CheckResult(
             program_name=self.program.name,
             exploration=exploration,
-            warnings=self._build_warnings(exploration,
-                                          extra=resume_warnings),
+            warnings=self._build_warnings(
+                exploration, extra=resume_warnings + list(search.warnings)),
         )
 
     def _load_resume(self, resume_from: str):
@@ -411,73 +366,20 @@ class Checker:
                 )
         return warnings
 
-    def _run_parallel(self, resume_from: Optional[str]) -> CheckResult:
-        """The ``workers > 1`` path: shard, fan out, merge."""
-        from repro.parallel import ParallelCoordinator
-
-        options = self.resilience_options
-        controller = None
-        if (options.enabled or resume_from is not None
-                or self.external_stop is not None):
-            controller = ResilienceController(
-                options,
-                program=self.program,
-                policy_name=self.policy_factory().name,
-                config=self.config,
-                observer=self.observer,
-            )
-            if self.external_stop is not None:
-                controller.attach_stop(self.external_stop)
-        max_bound = (self.config.preemption_bound
-                     if self.config.preemption_bound is not None else 2)
-        coordinator = ParallelCoordinator(
-            self.program, self.policy_factory, self.config, self.limits,
-            strategy=self.strategy,
-            workers=self.workers,
-            shard_target=self.shard_target,
-            seed=self.seed,
-            random_executions=self.random_executions,
-            max_bound=max_bound,
-            coverage=self.coverage,
-            observer=self.observer,
-            resilience=controller,
-            resilience_options=options,
-            heartbeat_interval=self.heartbeat_interval,
-            wedge_timeout=self.wedge_timeout,
-        )
-        resume_warnings: List[str] = []
-        if resume_from is not None:
-            payload, resume_warnings = self._load_resume(resume_from)
-            coordinator.load_state_dict(payload["state"])
-
-        with self._search_span():
-            if (controller is not None and options.handle_signals
-                    and self.external_stop is None):
-                with GracefulStop() as stop:
-                    controller.attach_stop(stop)
-                    exploration = coordinator.run()
-            else:
-                exploration = coordinator.run()
-
-        return CheckResult(
-            program_name=self.program.name,
-            exploration=exploration,
-            warnings=self._build_warnings(
-                exploration,
-                extra=resume_warnings + coordinator.warnings),
-        )
-
     # ------------------------------------------------------------------
     def replay(self, record: ExecutionResult) -> ExecutionResult:
         """Reproduce a counterexample found by :meth:`run` with a full trace."""
         return replay_schedule(
             self.program, record.decisions, self.policy_factory, self.config,
+            reducer=strategy_class(self.strategy).reducer,
+            bound=record.preemption_bound,
         )
 
     def explain_deadlock(self, record: ExecutionResult) -> str:
         """Describe the wait-for set of a deadlocked execution."""
         return explain_deadlock(
             self.program, record, self.policy_factory, self.config,
+            reducer=strategy_class(self.strategy).reducer,
         )
 
     def confirm_divergence(self, record: ExecutionResult, *,
@@ -510,6 +412,7 @@ class Checker:
         )
 
         decisions = list(record.decisions)
+        reducer = strategy_class(self.strategy).reducer
         best: Optional[ExecutionResult] = None
         for period in range(1, min(max_period, len(decisions) // 2) + 1):
             if decisions[-period:] != decisions[-2 * period:-period]:
@@ -521,6 +424,7 @@ class Checker:
                 result = replay_schedule(
                     self.program, guide, self.policy_factory, extended,
                     trace_window=extended.trace_window,
+                    reducer=reducer, bound=record.preemption_bound,
                 )
             except ValueError:
                 continue  # the pumped schedule stopped fitting
@@ -534,6 +438,7 @@ class Checker:
             self.program, [d.index for d in decisions],
             self.policy_factory, extended,
             trace_window=extended.trace_window,
+            reducer=reducer, bound=record.preemption_bound,
         )
 
 

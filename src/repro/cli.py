@@ -32,8 +32,10 @@ from typing import Callable, Dict, List, Optional
 
 from repro.checker import Checker
 from repro.core.model import Program
+from repro.engine.executor import ExecutorConfig
 from repro.engine.persistence import load_and_replay, save_schedule
 from repro.engine.results import format_trace
+from repro.engine.strategies import STRATEGIES
 from repro.runtime.errors import UnsupportedConfiguration
 
 
@@ -113,8 +115,7 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fairness", action="store_true",
                         help="use the classical unfair scheduler")
     parser.add_argument("--strategy", default="dfs",
-                        choices=["dfs", "icb", "bfs", "random", "por",
-                                 "dpor"])
+                        choices=list(STRATEGIES))
     parser.add_argument("--depth-bound", type=int, default=5000,
                         help="divergence bound (fair) / prune bound (unfair)")
     parser.add_argument("--preemption-bound", type=int, default=None,
@@ -302,7 +303,7 @@ def _report_and_save(program: Program, checker: Checker,
         path = save_schedule(
             options.save_repro, program, record,
             policy_name=checker.policy_factory().name,
-            config=checker.config,
+            config=checker.config, strategy=checker.strategy,
         )
         print(f"repro file written to {path}")
     if result.interrupted:
@@ -366,8 +367,13 @@ def _cmd_profile_snapshots(options: argparse.Namespace) -> int:
             return bounded_buffer_program(items=2, consumers=2)
 
     bound = options.preemption_bound
-    if bound is None and options.strategy not in ("por", "dpor"):
-        bound = 2
+    if bound is None:
+        # 2, unless the strategy refuses a preemption bound.
+        try:
+            bound = STRATEGIES[options.strategy].configure(
+                ExecutorConfig(preemption_bound=2)).preemption_bound
+        except UnsupportedConfiguration:
+            pass
     report = snapshot_amortization(
         program_factory,
         strategy=options.strategy,
@@ -666,8 +672,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     snapshots_parser.add_argument("-a", "--factory-arg", action="append",
                                   default=[])
     snapshots_parser.add_argument("--strategy", default="dfs",
-                                  choices=["dfs", "icb", "bfs", "random",
-                                           "por", "dpor"])
+                                  choices=list(STRATEGIES))
     snapshots_parser.add_argument("--depth-bound", type=int, default=200)
     snapshots_parser.add_argument(
         "--preemption-bound", type=int, default=None,

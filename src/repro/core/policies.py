@@ -62,19 +62,17 @@ class SchedulingPolicy(abc.ABC):
     # ``snapshot_state()`` returns an immutable-by-convention value that
     # ``restore_state()`` can later apply to *any* fresh instance of the
     # same policy configuration.  The prefix-snapshot cache
-    # (engine/snapshots.py) uses this pair instead of ``copy.deepcopy``:
-    # built-in policies return structurally shared values (dicts of
-    # frozensets), making capture and restore O(changed) rather than
-    # O(total state).  Policies that do not override these fall back to
-    # a deepcopy inside the cache — correct, just slower.
+    # (engine/snapshots.py) relies on this pair: built-in policies return
+    # structurally shared values (dicts of frozensets), making capture
+    # and restore O(changed) rather than O(total state).
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def snapshot_state(self) -> object:
         """Capture the policy's mutable state as a persistent value."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def restore_state(self, state: object) -> None:
         """Reset this instance to a previously captured ``snapshot_state``."""
-        raise NotImplementedError
 
 
 class NonfairPolicy(SchedulingPolicy):

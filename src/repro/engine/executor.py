@@ -707,6 +707,7 @@ def run_execution(
         completed_randomly=completed_randomly,
         crash=crash,
         abort_reason=abort_reason,
+        preemption_bound=config.preemption_bound,
     )
     if config.keep_instance:
         result.final_instance = instance

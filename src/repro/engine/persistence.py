@@ -20,7 +20,6 @@ recorded name and decision count.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Union
 
@@ -36,8 +35,11 @@ FORMAT_VERSION = 1
 
 def schedule_to_dict(program: Program, record: ExecutionResult, *,
                      policy_name: str = "",
-                     config: Optional[ExecutorConfig] = None) -> dict:
-    """A JSON-serializable repro record."""
+                     config: Optional[ExecutorConfig] = None,
+                     strategy: Optional[str] = None) -> dict:
+    """A JSON-serializable repro record; with ``strategy`` (the name of
+    the strategy that found it) also the preemption bound it ran under,
+    which together fix what its decision indices mean."""
     payload = {
         "format": FORMAT_VERSION,
         "program": program.name,
@@ -50,6 +52,9 @@ def schedule_to_dict(program: Program, record: ExecutionResult, *,
             for d in record.decisions
         ],
     }
+    if strategy is not None:
+        payload["strategy"] = strategy
+        payload["preemption_bound"] = record.preemption_bound
     if record.violation is not None:
         payload["violation"] = str(record.violation)
     if record.divergence is not None:
@@ -68,7 +73,8 @@ def schedule_to_dict(program: Program, record: ExecutionResult, *,
 
 def save_schedule(path: Union[str, Path], program: Program,
                   record: ExecutionResult, *, policy_name: str = "",
-                  config: Optional[ExecutorConfig] = None) -> Path:
+                  config: Optional[ExecutorConfig] = None,
+                  strategy: Optional[str] = None) -> Path:
     """Write a repro file; returns the path.
 
     The write goes through :func:`repro.durableio.atomic_write` (temp
@@ -80,7 +86,7 @@ def save_schedule(path: Union[str, Path], program: Program,
     path = Path(path)
     text = json.dumps(
         schedule_to_dict(program, record, policy_name=policy_name,
-                         config=config),
+                         config=config, strategy=strategy),
         indent=2, sort_keys=True,
     ) + "\n"
     atomic_write_text(path, text, label="schedule")
@@ -121,9 +127,11 @@ def load_and_replay(
 ) -> ExecutionResult:
     """Replay a repro file against the (same) program.
 
-    Raises :class:`ValueError` when the file was recorded against a
-    program with a different name, or when the schedule no longer fits
-    the program's choice tree (code drift).
+    A file that names its strategy replays through that strategy's
+    reducer under its recorded preemption bound.  Raises
+    :class:`ValueError` when the file was recorded against a program
+    with a different name, or when the schedule no longer fits the
+    program's choice tree (code drift).
     """
     payload = load_schedule(path)
     if payload["program"] != program.name:
@@ -138,5 +146,13 @@ def load_and_replay(
             on_depth_exceeded=stored.get("on_depth_exceeded", "divergence"),
             preemption_bound=stored.get("preemption_bound"),
         )
+    reducer = None
+    if "strategy" in payload:
+        # Not at module level: the strategies import this module
+        # through the resilience layer.
+        from repro.engine.strategies import strategy_class
+
+        reducer = strategy_class(payload["strategy"]).reducer
     return replay_schedule(program, payload["schedule"], policy_factory,
-                           config)
+                           config, reducer=reducer,
+                           bound=payload.get("preemption_bound"))

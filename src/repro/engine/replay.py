@@ -4,7 +4,9 @@ Because every execution is fully determined by its decision sequence, a
 violation or livelock found by the search can be replayed exactly, with
 full trace recording, for debugging.  The same policy (and configuration)
 used during the search must be supplied: the fair policy shapes the
-schedulable sets, so decision indices are only meaningful relative to it.
+schedulable sets, and the preemption bound and a strategy's reducer hook
+narrow them further, so decision indices are only meaningful relative to
+all three.
 """
 
 from __future__ import annotations
@@ -25,11 +27,17 @@ def replay_schedule(
     config: Optional[ExecutorConfig] = None,
     *,
     trace_window: int = 100_000,
+    reducer: Optional[type] = None,
+    bound: Optional[int] = None,
 ) -> ExecutionResult:
     """Re-run an execution from its recorded schedule with a full trace.
 
     ``schedule`` is either a plain list of decision indices
-    (``ExecutionResult.schedule``) or the decision list itself.
+    (``ExecutionResult.schedule``) or the decision list itself.  Its
+    indices are relative to the recording strategy's ``reducer`` hook
+    class (``SearchStrategy.reducer``: sleep-set POR indexes the awake
+    options only) and to the preemption ``bound`` it ran under
+    (``ExecutionResult.preemption_bound``; None keeps ``config``'s).
     """
     indices = [
         d.index if isinstance(d, Decision) else int(d) for d in schedule
@@ -37,11 +45,15 @@ def replay_schedule(
     config = dataclasses.replace(
         config or ExecutorConfig(), trace_window=trace_window,
     )
+    if bound is not None:
+        config = dataclasses.replace(config, preemption_bound=bound)
+    hook = None if reducer is None else reducer(indices)
     return run_execution(
         program,
         policy_factory(),
-        GuidedChooser(indices),
+        hook or GuidedChooser(indices),
         config,
+        reducer=hook,
     )
 
 
@@ -50,6 +62,8 @@ def explain_deadlock(
     record: ExecutionResult,
     policy_factory: PolicyFactory,
     config: Optional[ExecutorConfig] = None,
+    *,
+    reducer: Optional[type] = None,
 ) -> str:
     """Replay a deadlocked execution and describe who waits on what.
 
@@ -60,7 +74,8 @@ def explain_deadlock(
         config or ExecutorConfig(), keep_instance=True,
     )
     replayed = replay_schedule(program, record.decisions, policy_factory,
-                               config, trace_window=4096)
+                               config, trace_window=4096, reducer=reducer,
+                               bound=record.preemption_bound)
     instance = replayed.final_instance
     if instance is None:
         return "no final state available"

@@ -100,6 +100,9 @@ class ExecutionResult:
     #: when ``ExecutorConfig.keep_instance`` is set (post-mortem
     #: inspection, e.g. deadlock explanations).
     final_instance: object = None
+    #: The preemption bound the execution ran under (an ICB sweep's own);
+    #: the decision indices are relative to it, so replays apply it.
+    preemption_bound: Optional[int] = None
 
     @property
     def schedule(self) -> List[int]:
@@ -144,6 +147,59 @@ class ExplorationResult:
             from collections import Counter
 
             self.outcomes = Counter()
+
+    def add(self, record: ExecutionResult, keep: int) -> None:
+        """Fold in one execution, keeping at most ``keep`` records of
+        each kind."""
+        self.executions += 1
+        self.transitions += record.steps
+        outcome = record.outcome
+        self.outcomes[outcome] += 1
+        if record.hit_depth_bound:
+            self.nonterminating_executions += 1
+        if outcome is Outcome.VIOLATION:
+            if len(self.violations) < keep:
+                self.violations.append(record)
+            if self.first_violation_execution is None:
+                self.first_violation_execution = self.executions
+        elif outcome is Outcome.DEADLOCK:
+            if len(self.deadlocks) < keep:
+                self.deadlocks.append(record)
+            if self.first_violation_execution is None:
+                self.first_violation_execution = self.executions
+        elif outcome is Outcome.DIVERGENCE:
+            if len(self.divergences) < keep:
+                self.divergences.append(record)
+        elif outcome is Outcome.CRASHED:
+            if len(self.crashes) < keep:
+                self.crashes.append(record)
+        elif outcome is Outcome.ABORTED:
+            self.aborted_executions += 1
+
+    def absorb(self, other: "ExplorationResult",
+               keep: Optional[int] = None) -> None:
+        """Fold in a search that ran after this one (the next ICB sweep
+        or shard), keeping at most ``keep`` records of each kind (None:
+        all).  Completeness, stop reason and coverage are the caller's."""
+        executions_before = self.executions
+        self.executions += other.executions
+        self.transitions += other.transitions
+        self.outcomes.update(other.outcomes)
+        for mine, theirs in ((self.violations, other.violations),
+                             (self.deadlocks, other.deadlocks),
+                             (self.divergences, other.divergences),
+                             (self.crashes, other.crashes)):
+            mine.extend(theirs if keep is None
+                        else theirs[:max(0, keep - len(mine))])
+        self.aborted_executions += other.aborted_executions
+        self.nonterminating_executions += other.nonterminating_executions
+        self.wall_seconds += other.wall_seconds
+        self.limit_hit = self.limit_hit or other.limit_hit
+        if (other.first_violation_execution is not None
+                and self.first_violation_execution is None):
+            # Offset its local index by the executions before it.
+            self.first_violation_execution = (
+                executions_before + other.first_violation_execution)
 
     @property
     def found_violation(self) -> bool:

@@ -30,8 +30,7 @@ Policy state is captured through the persistent-snapshot protocol
 dicts of immutable frozensets replaced copy-on-write, so a capture is a
 few shallow dict copies whose values are *shared* between the live
 policy, the cache, and every other entry captured while that state was
-unchanged — O(changed), not O(state).  Policies that do not implement
-the protocol fall back to ``copy.deepcopy`` (correct, just slower).
+unchanged — O(changed), not O(state).
 
 Applicability is gated by the ``supports_snapshot`` capability flag on
 the program (True for :class:`~repro.runtime.program.VMProgram` and
@@ -51,7 +50,6 @@ O(len(guide)) regardless of how many entries are cached.  See
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,9 +81,6 @@ class PrefixSnapshot:
     #: a persistent, structurally shared value (None is legal: the
     #: nonfair policy is stateless).
     policy_state: object = None
-    #: Deep copy of the whole policy, only for policies that do not
-    #: implement the snapshot protocol.  ``None`` on the fast path.
-    policy_fallback: object = None
     preemptions: int = 0
     yields: int = 0
     last_tid: object = None
@@ -101,16 +96,9 @@ class PrefixSnapshot:
     reducer_state: object = None
 
     def restore_policy(self, policy: object) -> object:
-        """Return a policy carrying this snapshot's state.
-
-        On the fast path the captured persistent state is applied to
-        ``policy`` — the fresh per-execution instance the strategy
-        already built — in O(changed), and that same object is returned.
-        Fallback entries (policies without the protocol) return a deep
-        copy of the captured policy instead.
-        """
-        if self.policy_fallback is not None:
-            return copy.deepcopy(self.policy_fallback)
+        """Return ``policy`` — the fresh per-execution instance the
+        strategy already built — carrying this snapshot's state, applied
+        in O(changed)."""
         policy.restore_state(self.policy_state)
         return policy
 
@@ -329,18 +317,11 @@ class PrefixSnapshotCache:
             self.last_capture_outcome = "refreshed"
             self.refreshes += 1
             return False
-        try:
-            policy_state = policy.snapshot_state()
-            policy_fallback = None
-        except (AttributeError, NotImplementedError):
-            policy_state = None
-            policy_fallback = copy.deepcopy(policy)
         snapshot = PrefixSnapshot(
             key=key,
             decisions=tuple(decisions),
             steps=steps,
-            policy_state=policy_state,
-            policy_fallback=policy_fallback,
+            policy_state=policy.snapshot_state(),
             preemptions=preemptions,
             yields=yields,
             last_tid=last_tid,

@@ -1,4 +1,7 @@
-"""Search strategies over the stateless execution tree."""
+"""Search strategies over the stateless execution tree, and
+:data:`STRATEGIES`, the one table of them by ``--strategy`` name."""
+
+from typing import Dict, Type
 
 from repro.engine.strategies.base import (
     Aggregator,
@@ -21,6 +24,24 @@ from repro.engine.strategies.random_walk import (
     explore_random,
 )
 
+#: Every search strategy by name, in ``--strategy`` help order.
+STRATEGIES: Dict[str, Type[SearchStrategy]] = {
+    cls.name: cls
+    for cls in (DfsStrategy, IcbStrategy, BfsStrategy, RandomWalkStrategy,
+                SleepSetStrategy, DporStrategy)
+}
+
+
+def strategy_class(name: str) -> Type[SearchStrategy]:
+    """The :data:`STRATEGIES` entry for ``name``."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy {name!r} "
+            f"(expected one of {', '.join(STRATEGIES)})") from None
+
+
 __all__ = [
     "Aggregator",
     "BfsStrategy",
@@ -29,6 +50,7 @@ __all__ = [
     "ExplorationLimits",
     "IcbStrategy",
     "RandomWalkStrategy",
+    "STRATEGIES",
     "SearchStrategy",
     "SleepSetStrategy",
     "explore_bfs",
@@ -40,4 +62,5 @@ __all__ = [
     "iterative_context_bounding",
     "merge_sweeps",
     "next_dfs_guide",
+    "strategy_class",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.engine.coverage import CoverageTracker
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
@@ -83,32 +83,9 @@ class Aggregator:
     # ------------------------------------------------------------------
     def add(self, record: ExecutionResult) -> Optional[str]:
         """Fold in one execution; returns a stop reason or None."""
-        res = self.result
-        res.executions += 1
-        res.transitions += record.steps
-        res.outcomes[record.outcome] += 1
-        if record.hit_depth_bound:
-            res.nonterminating_executions += 1
+        self.result.add(record, self.limits.keep_records)
         if self.coverage is not None:
             self.coverage.end_execution()
-        if record.outcome is Outcome.VIOLATION:
-            if len(res.violations) < self.limits.keep_records:
-                res.violations.append(record)
-            if res.first_violation_execution is None:
-                res.first_violation_execution = res.executions
-        elif record.outcome is Outcome.DEADLOCK:
-            if len(res.deadlocks) < self.limits.keep_records:
-                res.deadlocks.append(record)
-            if res.first_violation_execution is None:
-                res.first_violation_execution = res.executions
-        elif record.outcome is Outcome.DIVERGENCE:
-            if len(res.divergences) < self.limits.keep_records:
-                res.divergences.append(record)
-        elif record.outcome is Outcome.CRASHED:
-            if len(res.crashes) < self.limits.keep_records:
-                res.crashes.append(record)
-        elif record.outcome is Outcome.ABORTED:
-            res.aborted_executions += 1
         if self._listener is not None:
             self._listener(record)
 
@@ -201,13 +178,57 @@ class SearchStrategy:
     when the frontier still describes the next execution to run; an
     execution interrupted mid-flight is therefore re-run on resume
     (at-least-once, deterministic — the record is identical).
+
+    The class is the strategy's row in
+    :data:`repro.engine.strategies.STRATEGIES`: the attributes and
+    class methods below are everything callers need to build, shard,
+    label and replay it.
     """
 
-    #: Stable name recorded in checkpoints; must match on resume.
+    #: Stable name recorded in checkpoints (must match on resume), and
+    #: the ``--strategy`` name.
     name = "base"
     #: Whether draining the frontier means the search was exhaustive
     #: (random search finishes its budget without being "complete").
     exhaustive = True
+    #: How a parallel search partitions it: ``"prefix"`` (decision-prefix
+    #: subtrees), ``"range"`` (walk-index ranges) or None (one shard).
+    split: Optional[str] = "prefix"
+    #: The shard planner's probes are executions of the search itself
+    #: (BFS runs one execution per tree node), so they count.
+    counts_probes = False
+    #: Per-execution reducer hook class, built from the guide; it steers
+    #: each execution in place of a plain :class:`GuidedChooser`, so the
+    #: recorded decisions index the options it leaves, and replays must
+    #: use it too (None: they index every schedulable option).
+    reducer: Optional[type] = None
+    #: Notes for the verdict report (the parallel coordinator has some).
+    warnings: Sequence[str] = ()
+
+    @classmethod
+    def create(cls, program, policy_factory, config, limits, *, shard=None,
+               bound: Optional[int] = None, seed: int = 0,
+               executions: int = 0, **common) -> "SearchStrategy":
+        """Build the strategy from a checker's settings, confined to one
+        parallel ``shard`` and, for ICB, to the sweep at ``bound``.
+        ``seed`` and ``executions`` are the random-search budget;
+        ``common`` the coverage/listener/observer/resilience keywords."""
+        prefix = list(shard.prefix) if shard is not None else None
+        return cls(program, policy_factory, config, limits, prefix=prefix,
+                   **common)
+
+    @classmethod
+    def configure(cls, config):
+        """The executor configuration the strategy runs under, or
+        :class:`~repro.runtime.errors.UnsupportedConfiguration` for one
+        it cannot honour."""
+        return config
+
+    @classmethod
+    def phases(cls, config) -> List[Optional[int]]:
+        """The preemption bounds of the searches run one after another;
+        ``[None]`` is one search under ``config``'s own bound."""
+        return [None]
 
     def __init__(
         self,

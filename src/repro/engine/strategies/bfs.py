@@ -37,6 +37,7 @@ class BfsStrategy(SearchStrategy):
     """
 
     name = "bfs"
+    counts_probes = True
 
     def __init__(
         self,

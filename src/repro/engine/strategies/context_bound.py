@@ -33,6 +33,14 @@ from repro.resilience.checkpoint import (
     exploration_to_state,
 )
 
+#: The sweep ceiling when the configuration sets no preemption bound.
+DEFAULT_CEILING = 2
+
+
+def _ceiling(config) -> int:
+    bound = config.preemption_bound
+    return DEFAULT_CEILING if bound is None else bound
+
 
 def merge_sweeps(program_name: str, policy_name: str,
                  sweeps) -> ExplorationResult:
@@ -43,25 +51,7 @@ def merge_sweeps(program_name: str, policy_name: str,
         strategy_name=f"icb(<= {len(sweeps) - 1})",
     )
     for result in sweeps:
-        executions_before = merged.executions
-        merged.executions += result.executions
-        merged.transitions += result.transitions
-        merged.outcomes.update(result.outcomes)
-        merged.violations.extend(result.violations)
-        merged.deadlocks.extend(result.deadlocks)
-        merged.divergences.extend(result.divergences)
-        merged.crashes.extend(result.crashes)
-        merged.aborted_executions += result.aborted_executions
-        merged.nonterminating_executions += result.nonterminating_executions
-        merged.wall_seconds += result.wall_seconds
-        merged.limit_hit = merged.limit_hit or result.limit_hit
-        if (result.first_violation_execution is not None
-                and merged.first_violation_execution is None):
-            # Offset the sweep-local index by the executions of all
-            # earlier sweeps (not by the cumulative total after this
-            # sweep, which would overcount).
-            merged.first_violation_execution = (
-                executions_before + result.first_violation_execution)
+        merged.absorb(result)
     merged.complete = all(result.complete for result in sweeps)
     if sweeps:
         merged.stop_reason = sweeps[-1].stop_reason
@@ -73,15 +63,35 @@ def merge_sweeps(program_name: str, policy_name: str,
 class IcbStrategy(SearchStrategy):
     """Iterative context bounding: DFS sweeps at bounds 0, 1, ..., max.
 
-    Unlike the single-frontier strategies, :meth:`explore` returns the
-    *list* of per-bound :class:`ExplorationResult`\\ s (the callers merge
-    them with :func:`merge_sweeps`).  Each sweep is an inner
-    :class:`DfsStrategy` whose ``root`` points back here, so checkpoints
-    taken mid-sweep capture the whole sweep history plus the in-flight
-    DFS frontier.
+    :meth:`explore` returns the sweeps merged by :func:`merge_sweeps`;
+    :meth:`sweeps` returns the per-bound :class:`ExplorationResult`\\ s.
+    Each sweep is an inner :class:`DfsStrategy` whose ``root`` points
+    back here, so checkpoints taken mid-sweep capture the whole sweep
+    history plus the in-flight DFS frontier.  A checker's preemption
+    bound is the ceiling of the sweeps (:data:`DEFAULT_CEILING` when it
+    sets none); each sweep prefix-shards like a DFS.
     """
 
     name = "icb"
+
+    @classmethod
+    def phases(cls, config) -> List[Optional[int]]:
+        return list(range(_ceiling(config) + 1))
+
+    @classmethod
+    def create(cls, program, policy_factory, config, limits, *, shard=None,
+               bound=None, seed=0, executions=0, **common):
+        """The whole sweep sequence, or with ``bound`` one sweep of it: a
+        DFS under that bound, confined to ``shard``."""
+        if bound is not None:
+            return DfsStrategy.create(
+                program, policy_factory,
+                dataclasses.replace(config, preemption_bound=bound), limits,
+                shard=shard, strategy_name=f"cb={bound}", **common)
+        return cls(program, policy_factory, _ceiling(config),
+                   dataclasses.replace(config, preemption_bound=None),
+                   limits, stop_on_violation=limits.stop_on_first_violation,
+                   **common)
 
     def __init__(
         self,
@@ -117,13 +127,15 @@ class IcbStrategy(SearchStrategy):
         self._current_inner: Optional[DfsStrategy] = None
         self._inner_state: Optional[dict] = None
 
+    def strategy_label(self) -> str:
+        return f"icb(<= {self.max_bound})"
+
     # ------------------------------------------------------------------
     def _completed_executions(self) -> int:
         return sum(int(state.get("executions", 0))
                    for state in self.completed)
 
     def _make_inner(self, bound: int) -> DfsStrategy:
-        config = dataclasses.replace(self.config, preemption_bound=bound)
         limits = self.limits
         if limits is not None and limits.max_executions is not None:
             # The execution budget is a property of the whole sweep
@@ -133,49 +145,42 @@ class IcbStrategy(SearchStrategy):
             remaining = max(0, limits.max_executions
                             - self._completed_executions())
             limits = dataclasses.replace(limits, max_executions=remaining)
-        inner = DfsStrategy(
-            self.program,
-            self.policy_factory,
-            config,
-            limits,
-            coverage=self.coverage,
-            listener=self.listener,
-            strategy_name=f"cb={bound}",
-            observer=self.observer,
-            resilience=self.resilience,
-        )
+        inner = self.create(
+            self.program, self.policy_factory, self.config, limits,
+            bound=bound, coverage=self.coverage, listener=self.listener,
+            observer=self.observer, resilience=self.resilience)
         inner.root = self
         return inner
 
     # ------------------------------------------------------------------
+    def _frontier_state(self) -> dict:
+        return {"bound": self.bound, "max_bound": self.max_bound,
+                "completed": self.completed}
+
+    def _load_frontier(self, state: dict) -> None:
+        self.bound = state.get("bound", 0)
+        self.max_bound = state.get("max_bound", self.max_bound)
+        self.completed = list(state.get("completed", []))
+
     def state_dict(self) -> dict:
-        state = {
-            "strategy": self.name,
-            "frontier": {
-                "bound": self.bound,
-                "max_bound": self.max_bound,
-                "completed": self.completed,
-            },
-        }
+        state = super().state_dict()
         if self._current_inner is not None:
             state["inner"] = self._current_inner.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        recorded = state.get("strategy")
-        if recorded != self.name:
-            raise ValueError(
-                f"checkpoint was written by strategy {recorded!r}, "
-                f"cannot resume it with {self.name!r}"
-            )
-        frontier = state.get("frontier") or {}
-        self.bound = frontier.get("bound", 0)
-        self.max_bound = frontier.get("max_bound", self.max_bound)
-        self.completed = list(frontier.get("completed", []))
+        super().load_state_dict(state)
         self._inner_state = state.get("inner")
 
     # ------------------------------------------------------------------
-    def explore(self) -> List[ExplorationResult]:
+    def explore(self) -> ExplorationResult:
+        """Run the sweeps; returns them merged into one result."""
+        return merge_sweeps(self.program.name,
+                            getattr(self.policy_factory(), "name", ""),
+                            self.sweeps())
+
+    def sweeps(self) -> List[ExplorationResult]:
+        """Run the sweeps; returns one result per bound explored."""
         results = [exploration_from_state(s) for s in self.completed]
         while self.bound <= self.max_bound:
             inner = self._make_inner(self.bound)
@@ -216,21 +221,14 @@ def explore_context_bounded(
     observer=None,
     resilience=None,
 ) -> ExplorationResult:
-    """DFS over all executions with at most ``bound`` preemptions."""
+    """DFS over all executions with at most ``bound`` preemptions: one
+    sweep of :class:`IcbStrategy`."""
     if bound < 0:
         raise ValueError("preemption bound must be non-negative")
-    config = dataclasses.replace(config or ExecutorConfig(),
-                                 preemption_bound=bound)
-    return DfsStrategy(
-        program,
-        policy_factory,
-        config,
-        limits,
-        coverage=coverage,
-        listener=listener,
-        strategy_name=f"cb={bound}",
-        observer=observer,
-        resilience=resilience,
+    return IcbStrategy.create(
+        program, policy_factory, config or ExecutorConfig(), limits,
+        bound=bound, coverage=coverage, listener=listener,
+        observer=observer, resilience=resilience,
     ).explore()
 
 
@@ -261,4 +259,4 @@ def iterative_context_bounding(
         stop_on_violation=stop_on_violation,
         observer=observer,
         resilience=resilience,
-    ).explore()
+    ).sweeps()

@@ -47,10 +47,6 @@ class DfsStrategy(SearchStrategy):
     """Depth-first search with a resumable (guide, RNG) frontier."""
 
     name = "dfs"
-    #: Per-execution reducer hook class (sleep-set POR sets one); it is
-    #: built from the guide and steers the execution in place of a
-    #: plain :class:`GuidedChooser`.
-    reducer: Optional[type] = None
 
     def __init__(
         self,

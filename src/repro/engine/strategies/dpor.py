@@ -379,20 +379,30 @@ class DporStrategy(SearchStrategy):
     """
 
     name = "dpor"
+    #: Backtrack points are discovered dynamically — the subtree below a
+    #: prefix depends on races seen elsewhere, so a prefix partition is
+    #: not exhaustive.  A parallel search runs it as one shard: no
+    #: speedup, but checkpointing, worker supervision and identical
+    #: totals at any worker count still apply.
+    split = None
+
+    @classmethod
+    def configure(cls, config):
+        return reducer_config(cls.name, config, None)
 
     def __init__(
         self,
         program: Program,
         policy_factory: PolicyFactory,
+        config: Optional[ExecutorConfig] = None,
+        limits: Optional[ExplorationLimits] = None,
         *,
         depth_bound: Optional[int] = None,
-        limits: Optional[ExplorationLimits] = None,
         prefix: Optional[List[int]] = None,
         coverage: Optional[CoverageTracker] = None,
         listener: Optional[Callable[[ExecutionResult], None]] = None,
         observer=None,
         resilience=None,
-        config: Optional[ExecutorConfig] = None,
         on_final_state: Optional[Callable] = None,
     ) -> None:
         super().__init__(

@@ -176,14 +176,19 @@ class SleepSetStrategy(DfsStrategy):
     name = "por"
     reducer = SleepSets
 
-    def __init__(self, program: Program, policy_factory: PolicyFactory, *,
-                 depth_bound: Optional[int] = None,
-                 config: Optional[ExecutorConfig] = None, **kwargs) -> None:
-        """``kwargs`` are :class:`DfsStrategy`'s (limits, prefix,
-        coverage, listener, observer, resilience)."""
+    @classmethod
+    def configure(cls, config):
+        return reducer_config(cls.name, config, None)
+
+    def __init__(self, program: Program, policy_factory: PolicyFactory,
+                 config: Optional[ExecutorConfig] = None,
+                 limits: Optional[ExplorationLimits] = None, *,
+                 depth_bound: Optional[int] = None, **kwargs) -> None:
+        """``kwargs`` are :class:`DfsStrategy`'s (prefix, coverage,
+        listener, observer, resilience)."""
         super().__init__(program, policy_factory,
                          reducer_config(self.name, config, depth_bound),
-                         strategy_name="dfs+sleepsets", **kwargs)
+                         limits, strategy_name="dfs+sleepsets", **kwargs)
 
 
 def explore_dfs_sleepsets(

@@ -46,6 +46,17 @@ class RandomWalkStrategy(SearchStrategy):
     #: Random search never exhausts the tree; draining the budget does
     #: not make the result "complete".
     exhaustive = False
+    split = "range"
+
+    @classmethod
+    def create(cls, program, policy_factory, config, limits, *, shard=None,
+               bound=None, seed=0, executions=0, **common):
+        """A range shard runs its slice of the walk indices."""
+        if shard is not None:
+            executions = shard.count
+            common["start"] = shard.start
+        return cls(program, policy_factory, config, limits,
+                   executions=executions, seed=seed, **common)
 
     def __init__(
         self,

@@ -2,7 +2,8 @@
 
 The schedule space of one search is carved into worker-count-independent
 *shards* — subtrees pinned by a decision prefix (dfs, bfs, por, each ICB
-sweep) or contiguous walk-index ranges (random) — and explored by a pool
+sweep), contiguous walk-index ranges (random), or the one root shard
+(dpor) — and explored by a pool
 of forked worker processes.  The coordinator merges the per-shard results
 into the same :class:`~repro.engine.results.ExplorationResult` a serial
 search produces: identical totals and verdicts for counted sweeps, first
@@ -15,7 +16,6 @@ and embedders.
 
 from repro.parallel.coordinator import (
     DEFAULT_MAX_SHARD_ATTEMPTS,
-    PARALLEL_STRATEGIES,
     ParallelCoordinator,
 )
 from repro.parallel.shard import (
@@ -25,16 +25,14 @@ from repro.parallel.shard import (
     plan_prefix_shards,
     plan_range_shards,
 )
-from repro.parallel.worker import build_shard_strategy, run_shard, worker_main
+from repro.parallel.worker import run_shard, worker_main
 
 __all__ = [
     "DEFAULT_MAX_SHARD_ATTEMPTS",
     "DEFAULT_SHARD_TARGET",
-    "PARALLEL_STRATEGIES",
     "ParallelCoordinator",
     "Shard",
     "ShardPlan",
-    "build_shard_strategy",
     "plan_prefix_shards",
     "plan_range_shards",
     "run_shard",

@@ -1,15 +1,21 @@
 """The coordinator: plans shards, drives the worker pool, merges results.
 
-One :class:`ParallelCoordinator` runs one parallel search.  The control
-flow is strategy-shaped:
+One :class:`ParallelCoordinator` runs one parallel search of any of the
+six strategies; it answers ``explore()`` and ``load_state_dict()`` like
+the strategy it shards.  What it does is read off the strategy's class
+(:data:`~repro.engine.strategies.STRATEGIES`):
 
-* dfs / bfs / por / random — a single *phase*: plan the shards, feed
-  them to the pool, merge in shard order;
-* icb — one phase per preemption bound ``0..max_bound`` (the sweeps are
-  inherently sequential: bound *b+1* only runs when bound *b* found no
-  violation), each phase prefix-sharded and merged like a DFS phase,
-  the per-bound results folded with the existing
-  :func:`~repro.engine.strategies.merge_sweeps`.
+* each of ``phases(config)`` is one *phase*: plan the shards, feed them
+  to the pool, merge in shard order.  Every strategy has one phase
+  except icb, which has one per preemption bound ``0..ceiling`` (the
+  sweeps are inherently sequential: bound *b+1* only runs when bound
+  *b* found no violation), its per-bound results folded with
+  :func:`~repro.engine.strategies.merge_sweeps`;
+* ``split`` picks the plan: decision-prefix subtrees (dfs, bfs, por,
+  each icb sweep), walk-index ranges (random), or one shard (dpor);
+* ``create(..., shard=, bound=)`` builds what a worker runs for one
+  shard, and ``reducer`` steers the planner's probes and the replays
+  that rebuild counterexample traces.
 
 Determinism: the shard plan never depends on the worker count, shards
 are merged in shard-index order, and the BFS preamble (the planner's
@@ -37,13 +43,16 @@ import multiprocessing
 import queue as queue_module
 import time
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.engine.coverage import CoverageTracker
+from repro.engine.replay import replay_schedule
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
-from repro.engine.strategies import ExplorationLimits, merge_sweeps
-from repro.engine.strategies.por import SleepSets, reducer_config
-from repro.engine.executor import GuidedChooser, run_execution
+from repro.engine.strategies import (
+    ExplorationLimits,
+    merge_sweeps,
+    strategy_class,
+)
 from repro.parallel.shard import (
     DEFAULT_SHARD_TARGET,
     Shard,
@@ -74,9 +83,6 @@ DEFAULT_WEDGE_TIMEOUT = 30.0
 _RESPAWN_BACKOFF_START = 0.1
 _RESPAWN_BACKOFF_CAP = 5.0
 
-#: Strategies the coordinator knows how to shard.
-PARALLEL_STRATEGIES = ("dfs", "icb", "bfs", "random", "por", "dpor")
-
 
 def _fork_context():
     """The fork multiprocessing context, or None when unavailable.
@@ -91,20 +97,11 @@ def _fork_context():
         return None
 
 
-class _CoordinatorState:
-    """Checkpoint facade: what ``ResilienceController`` snapshots."""
-
-    name = "parallel"
-
-    def __init__(self, coordinator: "ParallelCoordinator") -> None:
-        self._coordinator = coordinator
-
-    def state_dict(self) -> dict:
-        return self._coordinator._state_dict()
-
-
 class ParallelCoordinator:
     """Shards one search across a pool of forked worker processes."""
+
+    #: Recorded in checkpoints, like a strategy's name.
+    name = "parallel"
 
     def __init__(
         self,
@@ -117,8 +114,7 @@ class ParallelCoordinator:
         workers: int = 2,
         shard_target: Optional[int] = None,
         seed: int = 0,
-        random_executions: int = 200,
-        max_bound: int = 2,
+        executions: int = 200,
         coverage: Optional[CoverageTracker] = None,
         observer=None,
         resilience=None,
@@ -127,15 +123,10 @@ class ParallelCoordinator:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         wedge_timeout: Optional[float] = DEFAULT_WEDGE_TIMEOUT,
     ) -> None:
-        if strategy not in PARALLEL_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r} "
-                f"(expected one of {', '.join(PARALLEL_STRATEGIES)})"
-            )
+        self.cls = strategy_class(strategy)
         if workers < 1:
             raise ValueError("workers must be positive")
-        if strategy in ("por", "dpor"):
-            config = reducer_config(strategy, config, None)
+        config = self.cls.configure(config)
         self.program = program
         self.policy_factory = policy_factory
         self.config = config
@@ -144,8 +135,10 @@ class ParallelCoordinator:
         self.workers = workers
         self.shard_target = shard_target or DEFAULT_SHARD_TARGET
         self.seed = seed
-        self.random_executions = random_executions
-        self.max_bound = max_bound
+        #: The random-search budget (walks over all shards).
+        self.executions = executions
+        #: Preemption bound of each phase (None: the config's own).
+        self.bounds = self.cls.phases(config)
         self.coverage = coverage
         self.observer = observer
         self.resilience = resilience
@@ -183,7 +176,6 @@ class ParallelCoordinator:
         # of the stopped run, but never checkpointed — a resume must
         # re-run them from scratch.
         self._partial_states: Dict[int, dict] = {}
-        self._facade = _CoordinatorState(self)
 
         # Pool state ------------------------------------------------------
         self._ctx = _fork_context()
@@ -197,82 +189,55 @@ class ParallelCoordinator:
         self._respawn_backoff = 0.0
 
     # ------------------------------------------------------------------
-    # labels and phases
+    # labels and replays
     # ------------------------------------------------------------------
-    def _phase_bounds(self) -> List[Optional[int]]:
-        if self.strategy == "icb":
-            return list(range(self.max_bound + 1))
-        return [None]
+    def _label(self, bound: Optional[int] = None) -> str:
+        """The label a serial search of one phase (or, for None, of the
+        whole search) reports."""
+        return self.cls.create(
+            self.program, self.policy_factory, self.config, self.limits,
+            bound=bound, seed=self.seed,
+            executions=self.executions).strategy_label()
 
-    def _phase_label(self, bound: Optional[int]) -> str:
-        if self.strategy == "icb":
-            return f"cb={bound}"
-        if self.strategy == "por":
-            return "dfs+sleepsets"
-        if self.strategy == "dpor":
-            return "source-dpor"
-        if self.strategy == "random":
-            return f"random(n={self.random_executions})"
-        return self.strategy
-
-    def strategy_label(self) -> str:
-        if self.strategy == "icb":
-            return f"icb(<= {self.max_bound})"
-        return self._phase_label(None)
-
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-    def _probe(self, prefix: List[int], bound: Optional[int]):
-        """One planner probe: the execution the strategy itself would run
-        for this prefix (so branching factors match exactly)."""
-        config = self.config
-        if bound is not None:
-            config = dataclasses.replace(config, preemption_bound=bound)
-        return self._run_guided(prefix, config)
-
-    def _run_guided(self, guide: List[int], config) -> ExecutionResult:
+    def _replay(self, guide: List[int], bound: Optional[int],
+                trace_window: int) -> ExecutionResult:
         """One execution along ``guide``, steered the way the strategy
-        steers it (sleep-set POR indexes the awake options)."""
-        reducer = SleepSets(guide) if self.strategy == "por" else None
-        return run_execution(
-            self.program, self.policy_factory(),
-            reducer or GuidedChooser(guide), config, reducer=reducer,
-        )
+        steers it, under preemption bound ``bound``."""
+        return replay_schedule(
+            self.program, guide, self.policy_factory, self.config,
+            trace_window=trace_window, reducer=self.cls.reducer,
+            bound=bound)
 
     def _plan_phase(self, bound: Optional[int]) -> ShardPlan:
         if self.observer is None:
             return self._plan_shards(bound)
         with self.observer.spans.measure(
-                f"plan {self._phase_label(bound)}", "planned") as span:
+                f"plan {self._label(bound)}", "planned") as span:
             plan = self._plan_shards(bound)
         span.args["shards"] = len(plan.shards)
         span.args["probes"] = plan.probes
         return plan
 
     def _plan_shards(self, bound: Optional[int]) -> ShardPlan:
-        if self.strategy == "random":
-            return plan_range_shards(self.random_executions,
+        split = self.cls.split
+        if split == "range":
+            return plan_range_shards(self.executions,
                                      target=self.shard_target)
-        if self.strategy == "dpor":
-            # Source-DPOR discovers its backtrack points *dynamically* —
-            # the subtree below a prefix depends on races seen elsewhere,
-            # so a prefix partition is not exhaustive for it.  The whole
-            # search runs as one shard: no speedup, but the parallel API
-            # (checkpointing, worker supervision, identical totals at any
-            # worker count) still applies.
-            return ShardPlan(kind="prefix",
-                             shards=[Shard(index=0, kind="prefix",
-                                           prefix=())])
-        return plan_prefix_shards(
-            lambda prefix: self._probe(prefix, bound),
-            target=self.shard_target,
-        )
+        if split == "prefix":
+            # A probe is the execution the strategy itself would run for
+            # the prefix, so branching factors match exactly.
+            return plan_prefix_shards(
+                lambda prefix: self._replay(prefix, bound,
+                                            self.config.trace_window),
+                target=self.shard_target,
+            )
+        return ShardPlan(kind="prefix",
+                         shards=[Shard(index=0, kind="prefix", prefix=())])
 
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def _state_dict(self) -> dict:
+    def state_dict(self) -> dict:
         state = {
             "strategy": "parallel",
             "inner": self.strategy,
@@ -320,9 +285,9 @@ class ParallelCoordinator:
         if self.resilience is None:
             return
         if force:
-            self.resilience.flush_checkpoint(self._facade)
+            self.resilience.flush_checkpoint(self)
         else:
-            self.resilience.maybe_checkpoint(self._facade)
+            self.resilience.maybe_checkpoint(self)
 
     # ------------------------------------------------------------------
     # the pool
@@ -354,7 +319,7 @@ class ParallelCoordinator:
         proc = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self.program, self.policy_factory, self.config,
-                  self.shard_limits, self.strategy, self.seed,
+                  self.shard_limits, self.cls, self.seed,
                   self.resilience_options, self.coverage is not None,
                   self.observer is not None,
                   task_queue, self._result_queue, self._stop_event,
@@ -500,13 +465,13 @@ class ParallelCoordinator:
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
-    def run(self) -> ExplorationResult:
+    def explore(self) -> ExplorationResult:
         """Run (or resume) the sharded search; returns the merged result."""
         self._start_time = time.perf_counter()
         if self.observer is not None:
             self.observer.exploration_started(
-                self.program.name, self.policy_name, self.strategy_label())
-        bounds = self._phase_bounds()
+                self.program.name, self.policy_name, self._label())
+        bounds = self.bounds
         phase_results: List[ExplorationResult] = [
             exploration_from_state(s) for s in self._completed_phases]
         resume_phase = self._phase_index
@@ -536,14 +501,10 @@ class ParallelCoordinator:
                     self._plan_state = None
                     self._shard_states = {}
                 self._partial_states = {}
-                if self.observer is not None and self.strategy == "icb":
+                if self.observer is not None and bound is not None:
                     self.observer.icb_sweep(bound, result)
                 self._checkpoint(force=True)
                 if self._stop_reason is not None:
-                    break
-                if (self.strategy == "icb"
-                        and self.limits.stop_on_first_violation
-                        and result.found_violation):
                     break
         finally:
             self._pool_stop()
@@ -562,9 +523,9 @@ class ParallelCoordinator:
                    plan: ShardPlan) -> ExplorationResult:
         pending = [s for s in plan.shards
                    if s.index not in self._shard_states]
-        # A BFS preamble can already decide the search (a probe found a
+        # Counted probes can already decide the search (a probe found a
         # violation): honor the early-stop rules before dispatching.
-        if self.strategy == "bfs":
+        if self.cls.counts_probes:
             for record in plan.preamble:
                 self._streamed_executions += 1
                 if self._stop_reason is None:
@@ -598,7 +559,7 @@ class ParallelCoordinator:
                     shard=shard.index, worker=0)
             state, signatures, extras = run_shard(
                 self.program, self.policy_factory, self.config,
-                self.shard_limits, self.strategy, shard,
+                self.shard_limits, self.cls, shard,
                 seed=self.seed, bound=bound,
                 collect_coverage=self.coverage is not None,
                 on_execution=lambda r: self._on_streamed_execution(
@@ -862,82 +823,34 @@ class ParallelCoordinator:
     # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def _fold_record(self, merged: ExplorationResult,
-                     record: ExecutionResult) -> None:
-        """Fold one preamble record, mirroring ``Aggregator.add``."""
-        keep = self.limits.keep_records
-        merged.executions += 1
-        merged.transitions += record.steps
-        merged.outcomes[record.outcome] += 1
-        if record.hit_depth_bound:
-            merged.nonterminating_executions += 1
-        if record.outcome is Outcome.VIOLATION:
-            if len(merged.violations) < keep:
-                merged.violations.append(record)
-            if merged.first_violation_execution is None:
-                merged.first_violation_execution = merged.executions
-        elif record.outcome is Outcome.DEADLOCK:
-            if len(merged.deadlocks) < keep:
-                merged.deadlocks.append(record)
-            if merged.first_violation_execution is None:
-                merged.first_violation_execution = merged.executions
-        elif record.outcome is Outcome.DIVERGENCE:
-            if len(merged.divergences) < keep:
-                merged.divergences.append(record)
-        elif record.outcome is Outcome.CRASHED:
-            if len(merged.crashes) < keep:
-                merged.crashes.append(record)
-        elif record.outcome is Outcome.ABORTED:
-            merged.aborted_executions += 1
-
     def _merge_phase(self, bound: Optional[int], plan: ShardPlan,
                      quarantined: List[Shard]) -> ExplorationResult:
         merged = ExplorationResult(
             program_name=self.program.name,
             policy_name=self.policy_name,
-            strategy_name=self._phase_label(bound),
+            strategy_name=self._label(bound),
         )
-        if self.strategy == "bfs":
+        keep = self.limits.keep_records
+        if self.cls.counts_probes:
             # Stateless BFS counts one execution per tree node; the
             # planner's interior probes are exactly the nodes above the
             # shard cut, so they belong in the totals.
             for record in plan.preamble:
-                self._fold_record(merged, record)
-        missing = 0
+                merged.add(record, keep)
         all_complete = True
         for shard in plan.shards:
             state = self._shard_states.get(shard.index)
             if state is None:
                 state = self._partial_states.get(shard.index)
             if state is None:
-                missing += 1
                 all_complete = False
                 continue
             result = exploration_from_state(state)
-            executions_before = merged.executions
-            merged.executions += result.executions
-            merged.transitions += result.transitions
-            merged.outcomes.update(result.outcomes)
-            keep = self.limits.keep_records
-            merged.violations.extend(
-                result.violations[:keep - len(merged.violations)])
-            merged.deadlocks.extend(
-                result.deadlocks[:keep - len(merged.deadlocks)])
-            merged.divergences.extend(
-                result.divergences[:keep - len(merged.divergences)])
-            merged.crashes.extend(
-                result.crashes[:keep - len(merged.crashes)])
-            merged.aborted_executions += result.aborted_executions
-            merged.nonterminating_executions += (
-                result.nonterminating_executions)
-            if (result.first_violation_execution is not None
-                    and merged.first_violation_execution is None):
-                merged.first_violation_execution = (
-                    executions_before + result.first_violation_execution)
+            merged.absorb(result, keep)
             all_complete = all_complete and result.complete
         merged.complete = (all_complete and not quarantined
                            and self._stop_reason is None
-                           and self.strategy != "random")
+                           and self.cls.exhaustive)
         merged.stop_reason = self._stop_reason
         merged.limit_hit = self._stop_reason in (
             "max-executions", "max-seconds", "max-crashes")
@@ -946,37 +859,34 @@ class ParallelCoordinator:
             for signature in self._signatures:
                 self.coverage.record(signature)
             merged.states_covered = self.coverage.count
-        self._regenerate_traces(merged, bound)
+        self._regenerate_traces(merged)
         return merged
 
     def _merge_run(self,
                    phase_results: List[ExplorationResult]
                    ) -> ExplorationResult:
-        if self.strategy == "icb":
-            merged = merge_sweeps(self.program.name, self.policy_name,
-                                  phase_results)
-            merged.wall_seconds = time.perf_counter() - self._start_time
-            merged.stop_reason = self._stop_reason
-            merged.limit_hit = self._stop_reason in (
-                "max-executions", "max-seconds", "max-crashes")
-            return merged
-        return phase_results[0]
+        if self.bounds == [None]:
+            return phase_results[0]
+        merged = merge_sweeps(self.program.name, self.policy_name,
+                              phase_results)
+        merged.wall_seconds = time.perf_counter() - self._start_time
+        merged.stop_reason = self._stop_reason
+        merged.limit_hit = self._stop_reason in (
+            "max-executions", "max-seconds", "max-crashes")
+        return merged
 
-    def _regenerate_traces(self, merged: ExplorationResult,
-                           bound: Optional[int]) -> None:
+    def _regenerate_traces(self, merged: ExplorationResult) -> None:
         """Shard results travel trace-less (schedules replay
         deterministically); rebuild the traces of the records
         ``CheckResult.report`` prints."""
-        config = dataclasses.replace(self.config, trace_window=100_000)
-        if bound is not None:
-            config = dataclasses.replace(config, preemption_bound=bound)
         for records in (merged.violations, merged.deadlocks,
                         merged.divergences, merged.crashes):
             if not records or records[0].trace:
                 continue
             record = records[0]
             try:
-                replayed = self._run_guided(record.schedule, config)
+                replayed = self._replay(record.schedule,
+                                        record.preemption_bound, 100_000)
             except Exception:  # pragma: no cover - replay divergence
                 continue
             if replayed.outcome is record.outcome:

@@ -1,7 +1,9 @@
 """Strategy-aware shard planning: carving the schedule space into
 independent, worker-count-independent units of work.
 
-Two partitioning schemes cover the five strategies:
+Each strategy names its scheme in its ``split`` attribute
+(:data:`repro.engine.strategies.STRATEGIES`); two schemes and a single
+shard cover the six strategies:
 
 * **Prefix shards** (dfs, bfs, por, and each ICB sweep): the choice tree
   is expanded breadth-first from the root with short *probe* executions
@@ -16,6 +18,9 @@ Two partitioning schemes cover the five strategies:
   into contiguous slices.  Walk ``i`` draws from an RNG derived from
   ``(seed, i)`` (:func:`repro.engine.strategies.random_walk.walk_rng`),
   so a slice replays the identical executions a serial run would.
+* **One shard** (dpor): source-DPOR discovers its backtrack points
+  while it runs, so no prefix partition of its tree is exhaustive; the
+  whole search is the root shard.
 
 The plan depends only on the program and the shard target — never on the
 worker count — which is what makes merged totals of counted sweeps
@@ -130,9 +135,9 @@ def plan_prefix_shards(
     """Partition the choice tree into ~``target`` disjoint subtrees.
 
     ``probe`` runs one guided execution for a prefix and returns its
-    record; it must be the same executor the sharded strategy uses
-    (plain guided replay for dfs/bfs/icb, the sleep-set hook for por)
-    so the branching factors match the strategy's own view of the tree.
+    record; it must steer the way the sharded strategy does (through its
+    reducer hook, if it has one) so the branching factors match the
+    strategy's own view of the tree.
     """
     if target < 1:
         raise ValueError("shard target must be positive")

@@ -26,93 +26,15 @@ import queue as queue_module
 import signal
 import threading
 import traceback
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Type
 
 from repro.chaos.faults import fault_at
 from repro.engine.coverage import CoverageTracker
-from repro.engine.strategies import (
-    BfsStrategy,
-    DfsStrategy,
-    DporStrategy,
-    ExplorationLimits,
-    RandomWalkStrategy,
-    SleepSetStrategy,
-)
+from repro.engine.strategies import ExplorationLimits, SearchStrategy
 from repro.parallel.shard import Shard
 from repro.resilience import ResilienceController, ResilienceOptions
 from repro.resilience.checkpoint import exploration_to_state
 from repro.resilience.quarantine import CrashQuarantine
-
-
-def build_shard_strategy(
-    program,
-    policy_factory,
-    config,
-    limits: ExplorationLimits,
-    strategy_name: str,
-    shard: Shard,
-    *,
-    seed: int = 0,
-    bound: Optional[int] = None,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable] = None,
-    resilience=None,
-    observer=None,
-):
-    """The strategy object exploring exactly one shard's slice of work.
-
-    ``bound`` is the preemption bound of the current ICB sweep (None for
-    the other strategies); the shard itself carries the prefix or range.
-    ``observer`` is a worker-local :class:`repro.obs.Observer` whose
-    phase timers and spans travel back to the coordinator with the shard
-    result (None keeps the worker's hot path telemetry-free).
-    """
-    if strategy_name in ("dfs", "icb"):
-        cfg = config
-        label = "dfs"
-        if strategy_name == "icb":
-            cfg = dataclasses.replace(config, preemption_bound=bound)
-            label = f"cb={bound}"
-        return DfsStrategy(
-            program, policy_factory, cfg, limits,
-            prefix=list(shard.prefix), strategy_name=label,
-            coverage=coverage, listener=listener, resilience=resilience,
-            observer=observer,
-        )
-    if strategy_name == "bfs":
-        return BfsStrategy(
-            program, policy_factory, config, limits,
-            prefix=list(shard.prefix),
-            coverage=coverage, listener=listener, resilience=resilience,
-            observer=observer,
-        )
-    if strategy_name == "por":
-        # config rides along so each shard builds its own prefix-snapshot
-        # cache (caches are never shared across processes).
-        return SleepSetStrategy(
-            program, policy_factory,
-            limits=limits, prefix=list(shard.prefix),
-            coverage=coverage, listener=listener, resilience=resilience,
-            config=config, observer=observer,
-        )
-    if strategy_name == "dpor":
-        # DPOR's plan is always the single root shard (dynamic backtrack
-        # points cannot be prefix-partitioned), so the prefix is empty.
-        if shard.prefix:
-            raise ValueError("dpor shards must have an empty prefix")
-        return DporStrategy(
-            program, policy_factory, limits=limits,
-            coverage=coverage, listener=listener, resilience=resilience,
-            config=config, observer=observer,
-        )
-    if strategy_name == "random":
-        return RandomWalkStrategy(
-            program, policy_factory, config, limits,
-            executions=shard.count, seed=seed, start=shard.start,
-            coverage=coverage, listener=listener, resilience=resilience,
-            observer=observer,
-        )
-    raise ValueError(f"strategy {strategy_name!r} cannot be sharded")
 
 
 def run_shard(
@@ -120,7 +42,7 @@ def run_shard(
     policy_factory,
     config,
     limits: ExplorationLimits,
-    strategy_name: str,
+    strategy: Type[SearchStrategy],
     shard: Shard,
     *,
     seed: int = 0,
@@ -131,8 +53,13 @@ def run_shard(
     controller: Optional[ResilienceController] = None,
     telemetry: bool = False,
 ) -> Tuple[dict, List[object], Optional[dict]]:
-    """Explore one shard; returns ``(exploration_state, signatures,
-    extras)``.
+    """Explore one shard of a ``strategy`` search (an entry of
+    :data:`~repro.engine.strategies.STRATEGIES`); returns
+    ``(exploration_state, signatures, extras)``.
+
+    ``bound`` is the preemption bound of the current phase (an ICB
+    sweep; None for the other strategies); the shard itself carries the
+    prefix or range.
 
     ``on_execution(record)`` streams per-execution telemetry;
     ``stop_check()`` returning a reason requests a graceful stop at the
@@ -163,9 +90,9 @@ def run_shard(
 
         observer = Observer()
 
-    strategy = build_shard_strategy(
-        program, policy_factory, config, limits, strategy_name, shard,
-        seed=seed, bound=bound, coverage=coverage, listener=listener,
+    search = strategy.create(
+        program, policy_factory, config, limits, shard=shard, bound=bound,
+        seed=seed, coverage=coverage, listener=listener,
         resilience=controller, observer=observer,
     )
     extras: Optional[dict] = None
@@ -173,14 +100,14 @@ def run_shard(
         with observer.spans.measure(
                 f"shard {shard.index} executing", "executing",
                 shard=shard.index, detail=shard.describe(),
-                strategy=strategy_name):
-            result = strategy.explore()
+                strategy=strategy.name):
+            result = search.explore()
         extras = {
             "phase_timers": observer.timers.to_dict(),
             "spans": observer.spans.to_state(),
         }
     else:
-        result = strategy.explore()
+        result = search.explore()
     signatures = sorted(coverage.signatures(), key=repr) if coverage else []
     return exploration_to_state(result), signatures, extras
 
@@ -220,7 +147,7 @@ def worker_main(
     policy_factory,
     config,
     limits: ExplorationLimits,
-    strategy_name: str,
+    strategy: Type[SearchStrategy],
     seed: int,
     resilience_options: Optional[ResilienceOptions],
     collect_coverage: bool,
@@ -242,7 +169,8 @@ def worker_main(
                                   handle_signals=False)
     controller = ResilienceController(
         options, program=program,
-        policy_name=getattr(policy_factory(), "name", ""), config=config)
+        policy_name=getattr(policy_factory(), "name", ""), config=config,
+        strategy=strategy.name)
     # Per-worker quarantine filenames so two workers crashing at once
     # never race for the same crash-NNNN.json slot.
     controller.quarantine = CrashQuarantine(
@@ -275,7 +203,7 @@ def worker_main(
 
             try:
                 state, signatures, extras = run_shard(
-                    program, policy_factory, config, limits, strategy_name,
+                    program, policy_factory, config, limits, strategy,
                     shard, seed=seed, bound=bound,
                     collect_coverage=collect_coverage,
                     on_execution=on_execution,

@@ -100,6 +100,7 @@ def record_to_state(record: ExecutionResult) -> dict:
         "hit_depth_bound": record.hit_depth_bound,
         "completed_randomly": record.completed_randomly,
         "decisions": [[d.kind, d.index, d.options] for d in record.decisions],
+        "preemption_bound": record.preemption_bound,
     }
     if record.violation is not None:
         state["violation"] = {
@@ -151,6 +152,7 @@ def record_from_state(state: dict) -> ExecutionResult:
         abort_reason=state.get("abort_reason"),
         hit_depth_bound=state.get("hit_depth_bound", False),
         completed_randomly=state.get("completed_randomly", False),
+        preemption_bound=state.get("preemption_bound"),
     )
 
 

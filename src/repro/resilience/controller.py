@@ -56,11 +56,15 @@ class ResilienceController:
     """Runtime side of :class:`ResilienceOptions` for one search."""
 
     def __init__(self, options: ResilienceOptions, *, program=None,
-                 policy_name: str = "", config=None, observer=None) -> None:
+                 policy_name: str = "", config=None, observer=None,
+                 strategy: Optional[str] = None) -> None:
         self.options = options
         self.program = program
         self.policy_name = policy_name
         self.config = config
+        #: Name of the search strategy, recorded in quarantined repro
+        #: files so they replay through it.
+        self.strategy = strategy
         self.observer = observer
         self.store = (CheckpointStore(options.checkpoint_path)
                       if options.checkpoint_path is not None else None)
@@ -157,7 +161,8 @@ class ResilienceController:
         """Persist one crashed record and emit telemetry."""
         path = self.quarantine.save(program, record,
                                     policy_name=self.policy_name,
-                                    config=self.config)
+                                    config=self.config,
+                                    strategy=self.strategy)
         if self.observer is not None:
             self.observer.crash_quarantined(str(record.crash),
                                             str(path) if path else None)

@@ -32,7 +32,7 @@ class CrashQuarantine:
         self._sequence = 0
 
     def save(self, program, record, *, policy_name: str = "",
-             config=None) -> Optional[Path]:
+             config=None, strategy: Optional[str] = None) -> Optional[Path]:
         """Persist one crashed record; returns the file path (or None
         when no quarantine directory is configured)."""
         if self.directory is None:
@@ -44,4 +44,4 @@ class CrashQuarantine:
             if not path.exists():
                 break
         return save_schedule(path, program, record, policy_name=policy_name,
-                             config=config)
+                             config=config, strategy=strategy)

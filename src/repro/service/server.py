@@ -624,7 +624,7 @@ class CheckServer:
                     self.store.repro_path(job_id), checker.program,
                     counterexample,
                     policy_name=checker.policy_factory().name,
-                    config=checker.config)
+                    config=checker.config, strategy=checker.strategy)
                 payload["repro_file"] = str(path)
             except Exception:  # pragma: no cover - artifact best-effort
                 pass

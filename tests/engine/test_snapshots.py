@@ -219,7 +219,6 @@ class TestExecutorIntegration:
                                 for _ in entry.decisions),
                 steps=entry.steps,
                 policy_state=entry.policy_state,
-                policy_fallback=entry.policy_fallback,
             )
             cache._entries[key] = poisoned
             cache._trie_insert(poisoned)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Checker, CheckResult, check
-from repro.checker import _merge_sweeps
 from repro.engine.results import DivergenceKind, ExplorationResult
+from repro.engine.strategies import merge_sweeps
 from repro.workloads.dining import (
     dining_philosophers,
     dining_philosophers_livelock,
@@ -146,7 +146,7 @@ class TestMergeSweeps:
         return result
 
     def test_violation_index_offset_by_earlier_sweeps(self):
-        merged = _merge_sweeps("p", "fair", [
+        merged = merge_sweeps("p", "fair", [
             self._sweep(10),
             self._sweep(7, first_violation=3),
         ])
@@ -156,7 +156,7 @@ class TestMergeSweeps:
         assert merged.found_violation
 
     def test_first_sweep_with_violation_wins(self):
-        merged = _merge_sweeps("p", "fair", [
+        merged = merge_sweeps("p", "fair", [
             self._sweep(5, first_violation=2),
             self._sweep(9, first_violation=0),
         ])
@@ -164,7 +164,7 @@ class TestMergeSweeps:
         assert len(merged.violations) == 2
 
     def test_no_violation_leaves_none(self):
-        merged = _merge_sweeps("p", "fair", [self._sweep(4), self._sweep(6)])
+        merged = merge_sweeps("p", "fair", [self._sweep(4), self._sweep(6)])
         assert merged.first_violation_execution is None
         assert merged.executions == 10
         assert merged.complete

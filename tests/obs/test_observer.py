@@ -187,25 +187,15 @@ class TestTelemetryParity:
     replayed prefix on guided backtracks, and trace steps named by task."""
 
     def run(self, strategy):
-        from repro.engine.strategies import (
-            DfsStrategy,
-            DporStrategy,
-            SleepSetStrategy,
-        )
+        from repro.engine.strategies import STRATEGIES
         from repro.obs.profile import DecisionProfiler
 
         observer = Observer(profiler=DecisionProfiler())
         records = []
-        program = dining_philosophers(2)
-        common = dict(observer=observer, listener=records.append)
-        if strategy == "dfs":
-            search = DfsStrategy(program, fair_policy(),
-                                 ExecutorConfig(depth_bound=200),
-                                 ExplorationLimits(), **common)
-        else:
-            cls = SleepSetStrategy if strategy == "por" else DporStrategy
-            search = cls(program, fair_policy(), depth_bound=200,
-                         limits=ExplorationLimits(), **common)
+        search = STRATEGIES[strategy].create(
+            dining_philosophers(2), fair_policy(),
+            ExecutorConfig(depth_bound=200), ExplorationLimits(),
+            observer=observer, listener=records.append)
         return search.explore(), observer, records
 
     @pytest.mark.parametrize("strategy", ["dfs", "por", "dpor"])

@@ -69,6 +69,8 @@ class TestCheckerQuarantine:
                          "crash-0002.json"]
         payload = load_schedule(quarantine / "crash-0000.json")
         assert payload["schedule"] == exploration.crashes[0].schedule
+        assert payload["strategy"] == "dfs"
+        assert payload["preemption_bound"] is None
 
         events = sink.of_type(CrashQuarantined)
         assert len(events) == 3

@@ -19,16 +19,7 @@ import pytest
 from repro.checker import Checker
 from repro.core.policies import fair_policy
 from repro.engine.executor import ExecutorConfig
-from repro.engine.strategies import (
-    BfsStrategy,
-    DfsStrategy,
-    DporStrategy,
-    ExplorationLimits,
-    IcbStrategy,
-    RandomWalkStrategy,
-    SleepSetStrategy,
-    merge_sweeps,
-)
+from repro.engine.strategies import STRATEGIES, ExplorationLimits
 from repro.resilience import (
     ResilienceController,
     ResilienceOptions,
@@ -37,43 +28,17 @@ from repro.resilience import (
 from repro.workloads.dining import dining_philosophers
 
 CONFIG = ExecutorConfig(depth_bound=300)
-STRATEGIES = ["dfs", "bfs", "random", "icb", "por", "dpor"]
+#: ICB sweeps bounds 0..1: its ceiling is the configured preemption bound.
+CONFIGS = {"icb": dataclasses.replace(CONFIG, preemption_bound=1)}
 #: Executions to run before the listener requests the graceful stop.
 INTERRUPT_AFTER = 7
 
 
 def build(name, program, *, listener=None, resilience=None):
-    factory = fair_policy()
-    limits = ExplorationLimits()
-    if name == "dfs":
-        return DfsStrategy(program, factory, CONFIG, limits,
-                           listener=listener, resilience=resilience)
-    if name == "bfs":
-        return BfsStrategy(program, factory, CONFIG, limits,
-                           listener=listener, resilience=resilience)
-    if name == "random":
-        return RandomWalkStrategy(program, factory, CONFIG, limits,
-                                  executions=25, seed=11,
-                                  listener=listener, resilience=resilience)
-    if name == "icb":
-        return IcbStrategy(program, factory, 1,
-                           dataclasses.replace(CONFIG, preemption_bound=None),
-                           limits, listener=listener, resilience=resilience)
-    if name == "por":
-        return SleepSetStrategy(program, factory, depth_bound=300,
-                                limits=limits, listener=listener,
-                                resilience=resilience)
-    if name == "dpor":
-        return DporStrategy(program, factory, depth_bound=300,
-                            limits=limits, listener=listener,
-                            resilience=resilience)
-    raise AssertionError(name)
-
-
-def totalize(name, raw):
-    if name == "icb":
-        return merge_sweeps("dining(2)", "fair", raw)
-    return raw
+    return STRATEGIES[name].create(
+        program, fair_policy(), CONFIGS.get(name, CONFIG),
+        ExplorationLimits(), seed=11, executions=25,
+        listener=listener, resilience=resilience)
 
 
 def controller_for(path, program):
@@ -84,11 +49,11 @@ def controller_for(path, program):
                                 policy_name="fair", config=CONFIG)
 
 
-@pytest.mark.parametrize("name", STRATEGIES)
+@pytest.mark.parametrize("name", list(STRATEGIES))
 class TestResumeEqualsUninterrupted:
     def test_round_trip(self, name, tmp_path):
         program = dining_philosophers(2)
-        reference = totalize(name, build(name, program).explore())
+        reference = build(name, program).explore()
         assert reference.executions > INTERRUPT_AFTER
 
         # Interrupted leg: request a graceful stop mid-search; the final
@@ -102,9 +67,8 @@ class TestResumeEqualsUninterrupted:
             if seen[0] >= INTERRUPT_AFTER:
                 controller.request_stop("test")
 
-        partial = totalize(name, build(
-            name, program, listener=stop_midway,
-            resilience=controller).explore())
+        partial = build(name, program, listener=stop_midway,
+                        resilience=controller).explore()
         assert partial.stop_reason == "interrupted"
         assert partial.interrupted
         assert not partial.complete
@@ -115,7 +79,7 @@ class TestResumeEqualsUninterrupted:
         # Resumed leg: fresh strategy object, state from the checkpoint.
         resumed_strategy = build(name, program)
         resumed_strategy.load_state_dict(load_checkpoint(ckpt)["state"])
-        resumed = totalize(name, resumed_strategy.explore())
+        resumed = resumed_strategy.explore()
 
         assert resumed.executions == reference.executions
         assert resumed.transitions == reference.transitions

@@ -11,6 +11,8 @@ even when the server is killed and restarted mid-job.
 import pytest
 
 from repro.checker import Checker
+from repro.core.policies import fair_policy
+from repro.engine.persistence import load_and_replay
 from repro.service import CheckServer, JobSpec, JobState
 from repro.workloads.dining import dining_philosophers
 from repro.workloads.wsq import work_stealing_queue
@@ -92,7 +94,10 @@ class TestSlicedEqualsDirect:
         if direct.violation is not None:
             assert result["counterexample_schedule"] == \
                 direct.violation.schedule
-            assert server.store.repro_path(record.id).exists()
+            replayed = load_and_replay(server.store.repro_path(record.id),
+                                       work_stealing_queue(1, 1, 1),
+                                       fair_policy())
+            assert replayed.outcome is direct.violation.outcome
 
 
 class TestRestartMidJob:
