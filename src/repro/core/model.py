@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import FrozenSet, Hashable, Optional, Tuple
+from typing import FrozenSet, Hashable, NamedTuple, Optional, Tuple
 
 Tid = Hashable
 
@@ -37,20 +36,21 @@ class RunStatus(enum.Enum):
     DEADLOCK = "deadlock"  # unfinished threads exist but none is enabled
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     """Observation of one transition, consumed by scheduling policies.
 
     Attributes mirror the quantities Algorithm 1 reads at each loop
     iteration: the enabled sets before/after the step and whether the
-    executed transition was a yielding one (``curr.yield(t)``).
+    executed transition was a yielding one (``curr.yield(t)``).  One is
+    built per transition, hence an immutable ``NamedTuple``: it is about
+    three times cheaper to construct than a frozen dataclass.
     """
 
     tid: Tid
     enabled_before: FrozenSet[Tid]
     enabled_after: FrozenSet[Tid]
     yielded: bool
-    spawned: Tuple[Tid, ...] = field(default=())
+    spawned: Tuple[Tid, ...] = ()
     operation: str = ""
 
 

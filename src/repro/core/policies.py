@@ -127,14 +127,7 @@ class FairPolicy(SchedulingPolicy):
             count = self._yield_counts.get(info.tid, 0) + 1
             self._yield_counts[info.tid] = count
             if count % self._k != 0:
-                info = StepInfo(
-                    tid=info.tid,
-                    enabled_before=info.enabled_before,
-                    enabled_after=info.enabled_after,
-                    yielded=False,
-                    spawned=info.spawned,
-                    operation=info.operation,
-                )
+                info = info._replace(yielded=False)
         self._state.observe_step(info)
 
     def fairness_blocked(self, tid: Tid, enabled: FrozenSet[Tid]) -> bool:

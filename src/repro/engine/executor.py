@@ -374,7 +374,7 @@ def run_execution(
                                if restored is not None else [])
     hit_depth_bound = False
     completing_randomly = False
-    completion_chooser: Optional[Chooser] = None
+    completion_end = 0  # random completion's step cap, set when it starts
     violation: Optional[PropertyViolation] = None
     crash: Optional[BaseException] = None
     abort_reason: Optional[str] = None
@@ -385,19 +385,32 @@ def run_execution(
     if observer is not None:
         observer.execution_started()
 
-    def current_chooser() -> Chooser:
-        return completion_chooser if completing_randomly else chooser
+    # Per-execution constants, bound once because the loop below runs once
+    # per transition.  ``pick`` is the active chooser's, switched to the
+    # random completion chooser's at the depth bound.
+    pick = chooser.pick
+    step = instance.step
+    enabled_threads = instance.enabled_threads
+    schedulable_of = policy.schedulable
+    observe_step = policy.observe_step
+    config_monitors = config.monitors
+    local_monitors = getattr(instance, "monitors", ())
+    temporal_monitors = getattr(instance, "temporal_monitors", ())
+    depth_bound = config.depth_bound
+    preemption_bound = config.preemption_bound
+    record_decision = decisions.append
+    record_step = trace.append
 
     def data_choice_handler(n: int) -> int:
         nonlocal pnode
         if timers is not None:
             t0 = perf_counter()
-            index = current_chooser().pick("data", n)
+            index = pick("data", n)
             timers.add("schedule", perf_counter() - t0)
         else:
-            index = current_chooser().pick("data", n)
+            index = pick("data", n)
         if not completing_randomly:
-            decisions.append(Decision("data", index, n, index))
+            record_decision(Decision("data", index, n, index))
             if profiler is not None:
                 pnode = profiler.descend(pnode, index)
             if observer is not None:
@@ -484,7 +497,7 @@ def run_execution(
             outcome = Outcome.VISITED_PRUNED
             break
 
-        enabled = instance.enabled_threads()
+        enabled = enabled_threads()
         if not enabled:
             status = instance.status()
             outcome = (Outcome.TERMINATED if status is RunStatus.TERMINATED
@@ -492,7 +505,7 @@ def run_execution(
             break
 
         # Depth-bound handling (before extending the execution).
-        if (config.depth_bound is not None and steps >= config.depth_bound
+        if (depth_bound is not None and steps >= depth_bound
                 and not completing_randomly):
             hit_depth_bound = True
             if config.on_depth_exceeded == "divergence":
@@ -515,6 +528,7 @@ def run_execution(
                 break
             if config.on_depth_exceeded == "random-completion":
                 completing_randomly = True
+                completion_end = depth_bound + config.random_completion_cap
                 rng = completion_rng
                 if rng is None:
                     # Derive the fallback from the recorded decision
@@ -523,25 +537,24 @@ def run_execution(
                     # correlating the random tails across the search.
                     prefix = ",".join(str(d.index) for d in decisions)
                     rng = random.Random(f"{config.seed}|{prefix}")
-                completion_chooser = RandomChooser(rng)
+                pick = RandomChooser(rng).pick
             else:
                 raise ValueError(
                     f"unknown on_depth_exceeded mode "
                     f"{config.on_depth_exceeded!r}"
                 )
-        if (completing_randomly and config.depth_bound is not None
-                and steps >= config.depth_bound + config.random_completion_cap):
+        if completing_randomly and steps >= completion_end:
             outcome = Outcome.DEPTH_PRUNED
             break
 
         if timers is not None:
             t0 = perf_counter()
-            schedulable = policy.schedulable(enabled)
+            schedulable = schedulable_of(enabled)
             timers.add("policy", perf_counter() - t0)
             if algo_state is not None:
                 observer.priority_relation(algo_state.priority.edge_count())
         else:
-            schedulable = policy.schedulable(enabled)
+            schedulable = schedulable_of(enabled)
         if not schedulable:
             raise AssertionError(
                 "schedulable set empty while threads are enabled — "
@@ -551,14 +564,14 @@ def run_execution(
         # ---- context bounding -----------------------------------------
         options = sorted_options(schedulable)
         switch_costs_preemption = False
-        if config.preemption_bound is not None and not completing_randomly:
+        if preemption_bound is not None and not completing_randomly:
             if last_tid is not None and last_tid in enabled and not last_was_yield:
                 if last_tid in schedulable:
                     switch_costs_preemption = True
                 elif config.count_fairness_preemptions:
                     switch_costs_preemption = True  # ablation mode
                 # else: fairness-forced switch — free, per Section 4.
-            if switch_costs_preemption and preemptions >= config.preemption_bound:
+            if switch_costs_preemption and preemptions >= preemption_bound:
                 if last_tid in schedulable:
                     options = [last_tid]
                     switch_costs_preemption = False
@@ -578,20 +591,18 @@ def run_execution(
 
         if timers is not None:
             t0 = perf_counter()
-            index = current_chooser().pick("thread", len(options))
+            index = pick("thread", len(options))
             timers.add("schedule", perf_counter() - t0)
         else:
-            index = current_chooser().pick("thread", len(options))
+            index = pick("thread", len(options))
+        tid = options[index]
         if not completing_randomly:
-            decisions.append(Decision("thread", index, len(options),
-                                      options[index]))
+            record_decision(Decision("thread", index, len(options), tid))
             if profiler is not None:
                 pnode = profiler.descend(pnode, index)
             if observer is not None:
                 observer.decision(steps, "thread", index, len(options),
-                                  options[index], len(schedulable),
-                                  len(enabled))
-        tid = options[index]
+                                  tid, len(schedulable), len(enabled))
         if switch_costs_preemption and tid != last_tid:
             preemptions += 1
             if observer is not None:
@@ -599,18 +610,18 @@ def run_execution(
 
         t0 = perf_counter() if timers is not None else 0.0
         try:
-            info = instance.step(tid)
-            for monitor in config.monitors:
+            info = step(tid)
+            for monitor in config_monitors:
                 monitor(instance)
-            for local_monitor in getattr(instance, "monitors", ()):
+            for local_monitor in local_monitors:
                 local_monitor()
-            for temporal in getattr(instance, "temporal_monitors", ()):
+            for temporal in temporal_monitors:
                 temporal.observe()
         except ExecutionHung as exc:
             outcome = Outcome.ABORTED
             abort_reason = str(exc)
-            trace.append(TraceStep(tid, thread_name(tid), f"⌛ {exc}", False,
-                                   enabled))
+            record_step(TraceStep(tid, thread_name(tid), f"⌛ {exc}", False,
+                                  enabled))
             # The faulting transition counts, same as every other terminal
             # path: the thread was scheduled and (partially) executed.
             steps += 1
@@ -625,8 +636,8 @@ def run_execution(
                 # (TaskCrash subclasses PropertyViolation).
                 violation = exc
                 outcome = Outcome.VIOLATION
-                trace.append(TraceStep(tid, thread_name(tid), f"† {exc}",
-                                       False, enabled))
+                record_step(TraceStep(tid, thread_name(tid), f"† {exc}",
+                                      False, enabled))
                 steps += 1
                 if timers is not None:
                     timers.add("execute", perf_counter() - t0)
@@ -635,8 +646,8 @@ def run_execution(
                 break
             crash = exc
             outcome = Outcome.CRASHED
-            trace.append(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                   False, enabled))
+            record_step(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
+                                  False, enabled))
             steps += 1
             if timers is not None:
                 timers.add("execute", perf_counter() - t0)
@@ -644,8 +655,8 @@ def run_execution(
         except PropertyViolation as exc:
             violation = exc
             outcome = Outcome.VIOLATION
-            trace.append(TraceStep(tid, thread_name(tid), f"† {exc}", False,
-                                   enabled))
+            record_step(TraceStep(tid, thread_name(tid), f"† {exc}", False,
+                                  enabled))
             steps += 1
             if timers is not None:
                 timers.add("execute", perf_counter() - t0)
@@ -658,8 +669,8 @@ def run_execution(
                 raise
             crash = exc
             outcome = Outcome.CRASHED
-            trace.append(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                   False, enabled))
+            record_step(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
+                                  False, enabled))
             steps += 1
             if timers is not None:
                 timers.add("execute", perf_counter() - t0)
@@ -667,13 +678,16 @@ def run_execution(
 
         if timers is not None:
             timers.add("execute", perf_counter() - t0)
-        policy.observe_step(info)
-        trace.append(TraceStep(tid, thread_name(tid), info.operation,
-                               info.yielded, enabled))
+        observe_step(info)
+        name = name_cache.get(tid)
+        if name is None:
+            name = thread_name(tid)
+        last_was_yield = info.yielded
+        record_step(TraceStep(tid, name, info.operation, last_was_yield,
+                              enabled))
         steps += 1
         last_tid = tid
-        last_was_yield = info.yielded
-        if observer is not None and info.yielded:
+        if observer is not None and last_was_yield:
             yields += 1
         if profiler is not None:
             # Attribute the whole iteration (policy, chooser, step,

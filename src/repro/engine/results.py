@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Counter as CounterType
-from typing import FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime.errors import PropertyViolation
 
@@ -25,15 +25,14 @@ class Outcome(enum.Enum):
     ABORTED = "aborted"  # watchdog cut a hung execution short
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One nondeterministic choice made during an execution.
 
     The sequence of decisions *is* the schedule: replaying it reproduces
-    the execution exactly (stateless model checking).
+    the execution exactly (stateless model checking).  Like
+    :class:`TraceStep` and :class:`~repro.core.model.StepInfo`, one is
+    built per transition, hence a ``NamedTuple``.
     """
-
-    __slots__ = ("kind", "index", "options", "chosen")
 
     kind: str  # "thread" or "data"
     index: int  # which alternative was taken
@@ -41,11 +40,8 @@ class Decision:
     chosen: object  # the thread id or data value picked (informational)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One executed transition, as recorded for reports and classification."""
-
-    __slots__ = ("tid", "thread_name", "operation", "yielded", "enabled_before")
 
     tid: Tid
     thread_name: str

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Generator, Optional
 
-from repro.runtime.errors import TaskCrash
+from repro.runtime.errors import PropertyViolation, TaskCrash
 from repro.runtime.ops import Operation, StartOp
 
 _START = StartOp()
@@ -60,8 +60,6 @@ class Task:
         and is re-raised wrapped in :class:`TaskCrash` unless it is already
         a :class:`~repro.runtime.errors.PropertyViolation`.
         """
-        from repro.runtime.errors import PropertyViolation
-
         try:
             if self._started:
                 self.pending = self._gen.send(send_value)

@@ -50,8 +50,9 @@ class VirtualMachine(ProgramInstance):
         #: Temporal liveness monitors (engine observes them every step and
         #: consults them when an execution diverges).
         self.temporal_monitors: List[Any] = []
-        #: Cache of the enabled set; invalidated by every transition and
-        #: spawn (the only mutations of shared state).
+        #: Cache of the enabled set.  Transitions and spawns are the only
+        #: mutations of shared state: a spawn invalidates it, and every
+        #: transition refills it with the next state's ES.
         self._enabled_cache: Optional[FrozenSet[int]] = None
 
     # ------------------------------------------------------------------
@@ -119,35 +120,40 @@ class VirtualMachine(ProgramInstance):
         to its next scheduling point.  Property violations raised by either
         part propagate to the engine (the task is marked failed first, so a
         caller that catches the violation sees a consistent VM).
+
+        ``enabled_before`` is the cached ES, which also says whether ``tid``
+        may run; ``enabled_after`` evaluates each task's predicate once and
+        becomes the next state's cached ES.
         """
         task = self._tasks.get(tid)
         if task is None:
             raise ScheduleError(f"no such thread: {tid}")
-        if not self.is_enabled(tid):
+        enabled_before = self._enabled_cache
+        if enabled_before is None:
+            enabled_before = self.enabled_threads()
+        if tid not in enabled_before:
             raise ScheduleError(
                 f"thread {task.name!r} is not enabled (pending "
                 f"{task.pending.describe() if task.pending else 'nothing'})"
             )
-        enabled_before = self.enabled_threads()
         op = task.pending
         yielded = op.is_yielding(self, task)
         op_desc = op.describe()
-        self._spawned_this_step = []
+        self._spawned_this_step = spawned = []
         self._enabled_cache = None
         try:
-            value = op.execute(self, task)
-            task.advance(value)
+            task.advance(op.execute(self, task))
         finally:
             self._enabled_cache = None
             self.step_count += 1
-        return StepInfo(
-            tid=tid,
-            enabled_before=enabled_before,
-            enabled_after=self.enabled_threads(),
-            yielded=yielded,
-            spawned=tuple(self._spawned_this_step),
-            operation=op_desc,
-        )
+        ready = TaskState.READY
+        enabled_after = self._enabled_cache = frozenset([
+            t.tid for t in self._tasks.values()
+            if t.state is ready and t.pending is not None
+            and t.pending.enabled(self, t)
+        ])
+        return StepInfo(tid, enabled_before, enabled_after, yielded,
+                        tuple(spawned), op_desc)
 
     def fast_forward(self, decisions, *,
                      per_step: Optional[Callable[["VirtualMachine"], None]] = None) -> int:

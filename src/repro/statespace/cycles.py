@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterator, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.statespace.transition_system import TransitionSystem
 
 State = Hashable
@@ -71,6 +69,8 @@ def enumerate_cycles(graph: StateGraph, *, limit: int = 10_000
     Node cycles come from Johnson's algorithm (via networkx); each is
     expanded into every combination of thread labels realizing it.
     """
+    import networkx as nx  # here, so that ``import repro`` does not need it
+
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.states)
     labels: Dict[Tuple[State, State], List[Tid]] = {}

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.model import Program
 from repro.core.policies import NonfairPolicy
 from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
@@ -78,6 +76,8 @@ class SignatureGraph:
 
     def cycles(self, *, limit: int = 10_000):
         """Elementary cycles as ``[(sig, thread), ...]`` sequences."""
+        import networkx as nx  # here, so that ``import repro`` does not need it
+
         digraph = nx.DiGraph()
         labels: Dict[Tuple[Sig, Sig], List[str]] = {}
         digraph.add_nodes_from(self.enabled)

@@ -1,8 +1,20 @@
 """Abstract model interface tests."""
 
+import pickle
+
 import pytest
 
 from repro.core.model import Program, ProgramInstance, RunStatus, StepInfo
+from repro.engine.results import Decision, TraceStep
+
+#: One of each per-transition record the engine builds.
+RECORDS = [
+    StepInfo(tid=1, enabled_before=frozenset(), enabled_after=frozenset(),
+             yielded=True),
+    Decision("thread", 1, 2, "t"),
+    TraceStep(tid=0, thread_name="a", operation="op", yielded=False,
+              enabled_before=frozenset({0, 1})),
+]
 
 
 class TestStepInfo:
@@ -13,10 +25,17 @@ class TestStepInfo:
         assert info.operation == ""
 
     def test_frozen(self):
-        info = StepInfo(tid=1, enabled_before=frozenset(),
-                        enabled_after=frozenset(), yielded=True)
-        with pytest.raises(Exception):
-            info.tid = 2
+        for record in RECORDS:
+            with pytest.raises(Exception):
+                setattr(record, type(record)._fields[0], 2)
+
+    def test_pickle_round_trip(self):
+        # Parallel workers send records between processes by pickling.
+        for record in RECORDS:
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record
+            assert type(copy) is type(record)
+            assert repr(copy) == repr(record)
 
 
 class TestStatusDerivation:

@@ -1,12 +1,19 @@
 """Virtual machine tests: predicates, transitions, spawning, signatures."""
 
+import random
+
 import pytest
 
 from repro.core.model import RunStatus
+from repro.engine.results import Decision
 from repro.runtime.api import pause, spawn, yield_now
-from repro.runtime.errors import ScheduleError
+from repro.runtime.errors import PropertyViolation, ScheduleError
 from repro.runtime.vm import VirtualMachine
 from repro.sync.mutex import Mutex
+from repro.workloads.boundedbuffer import bounded_buffer_program
+from repro.workloads.dining import dining_philosophers
+from repro.workloads.promise import promise_program
+from repro.workloads.wsq import work_stealing_queue
 
 
 def drain(vm, order=None, limit=200):
@@ -230,3 +237,81 @@ class TestDataChoices:
         vm.step(0)
         with pytest.raises(ScheduleError):
             vm.step(0)
+
+
+def fresh_enabled(vm):
+    """ES recomputed from the predicates, bypassing the VM's cache."""
+    return frozenset(t for t in vm.thread_ids() if vm.is_enabled(t))
+
+
+def random_run(program, seed, limit=300):
+    """Step a fresh instance under a seeded random schedule, checking the
+    enabled sets ``step`` reports against fresh recomputations.
+
+    Returns the decision log of the steps that completed cleanly (what
+    ``fast_forward`` replays) and their ``StepInfo`` records.
+    """
+    rng = random.Random(seed)
+    vm = program.instantiate()
+    decisions = []
+
+    def data_choice(n):
+        value = rng.randrange(n)
+        decisions.append(Decision("data", value, n, value))
+        return value
+
+    vm.data_choice_handler = data_choice
+    infos = []
+    clean = 0
+    before = fresh_enabled(vm)
+    while before and len(infos) < limit:
+        options = sorted(before)
+        index = rng.randrange(len(options))
+        tid = options[index]
+        decisions.append(Decision("thread", index, len(options), tid))
+        try:
+            info = vm.step(tid)
+            for monitor in vm.monitors:
+                monitor()
+        except PropertyViolation:
+            break  # a buggy schedule ends the run, as in the engine
+        assert info.enabled_before == before
+        if infos:
+            assert info.enabled_before == infos[-1].enabled_after
+        before = fresh_enabled(vm)
+        assert info.enabled_after == before
+        assert vm.enabled_threads() == before
+        infos.append(info)
+        clean = len(decisions)
+    return decisions[:clean], infos
+
+
+class TestOnePassStep:
+    """``step`` evaluates each task's enabledness once: ``enabled_before``
+    is the cached ES and ``enabled_after`` becomes the next one.  Both
+    must equal a fresh recomputation at every step, whether the step is
+    driven directly or through ``fast_forward``."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: dining_philosophers(3),
+        # condition variables and joins
+        lambda: bounded_buffer_program(items=2, consumers=2),
+        # threads spawned at run time
+        lambda: promise_program(2),
+        lambda: work_stealing_queue(1, 1, 1),
+    ], ids=["dining3", "bbuf-2-2", "promise2", "wsq-1-1-1"])
+    def test_enabled_sets_match_recomputation(self, make):
+        program = make()
+        for seed in range(8):
+            decisions, infos = random_run(program, seed)
+            assert infos, "the schedule took no step"
+
+            vm = program.instantiate()
+            seen = []
+
+            def per_step(live):
+                assert live.enabled_threads() == fresh_enabled(live)
+                seen.append(live.enabled_threads())
+
+            assert vm.fast_forward(decisions, per_step=per_step) == len(infos)
+            assert seen == [info.enabled_after for info in infos]
