@@ -20,8 +20,14 @@ reduction must be at least 10x.  ``repro bench compare`` then guards the
 recorded counts exactly (executions and transitions are deterministic)
 and the ``speedup`` field — por executions over dpor executions —
 within the regression tolerance.
+
+Each row's search runs ``REPEATS`` times after a ``gc.collect()`` and
+records the fastest run: a row takes a few milliseconds, so one garbage
+collection or host pause inside a single timed run would read as a
+regression.  The repeats must agree on executions and transitions.
 """
 
+import gc
 import json
 import pathlib
 import time
@@ -45,6 +51,8 @@ DEPTH_BOUND = 300
 LIMITS = ExplorationLimits(max_executions=60_000, max_seconds=60.0,
                            stop_on_first_violation=False,
                            stop_on_first_divergence=False)
+#: Timed runs per row; the row records the fastest.
+REPEATS = 3
 
 
 def lanes_program(n):
@@ -95,10 +103,17 @@ def run_reducer(reducer, factory, policy):
     explore = (explore_source_dpor if reducer == "dpor"
                else explore_dfs_sleepsets)
     factory_fn = fair_policy if policy == "fair" else nonfair_policy
-    started = time.perf_counter()
-    result = explore(factory(), factory_fn(), depth_bound=DEPTH_BOUND,
-                     limits=LIMITS)
-    seconds = time.perf_counter() - started
+    seconds = float("inf")
+    totals = set()
+    for _ in range(REPEATS):
+        gc.collect()
+        started = time.perf_counter()
+        result = explore(factory(), factory_fn(), depth_bound=DEPTH_BOUND,
+                         limits=LIMITS)
+        seconds = min(seconds, time.perf_counter() - started)
+        totals.add((result.executions, result.transitions))
+    assert len(totals) == 1, (
+        f"{reducer}: executions/transitions varied across repeats: {totals}")
     return {
         "strategy": reducer,
         "seconds": round(seconds, 3),

@@ -1,12 +1,12 @@
 """Deterministic fault injection: the chaos plane's core.
 
 Every durability claim in this repo — atomic repro files, resumable
-checkpoints, durable job records, crash-requeued shards — is a claim
-about behavior *under faults*.  This module makes those faults
-injectable, deterministic, and cheap to leave compiled in:
+checkpoints, crash-requeued shards — is a claim about behavior *under
+faults*.  This module makes those faults injectable, deterministic, and
+cheap to leave compiled in:
 
 * a **fault point** is a named call site (``checkpoint.write``,
-  ``worker.execution``, ``job.replace``, ...) that asks the active
+  ``worker.execution``, ``schedule.replace``, ...) that asks the active
   injector "does a fault fire here?" before doing the real work;
 * a :class:`FaultRule` arms one fault *kind* at one point, firing on the
   N-th hit of that point (optionally restricted to a context match such
@@ -179,11 +179,10 @@ class FiredFault:
 class FaultInjector:
     """Matches fault points against an armed :class:`FaultPlan`.
 
-    Thread-safe: the parallel coordinator's pool and the service fleet
-    hit fault points from several threads.  Hit counters are per-point
-    and per-process (forked workers inherit a snapshot and count on
-    independently — use ``match={"worker": id}`` for cross-process
-    determinism).
+    Thread-safe: fault points may be hit from several threads of one
+    process at once.  Hit counters are per-point and per-process
+    (forked workers inherit a snapshot and count on independently — use
+    ``match={"worker": id}`` for cross-process determinism).
     """
 
     def __init__(self, plan: FaultPlan,

@@ -182,8 +182,9 @@ def scenario_checkpoint_replace_interrupted(
     check.expect(crashed, "replace-interrupted fault never crashed "
                           "the run")
     observer = Observer()
-    # Mirror the service's boot logic: resume from whatever snapshot is
-    # recoverable; a crash before the *first* publish restarts fresh.
+    # Resume from whatever snapshot is recoverable, as a sliced search
+    # does between slices; a crash before the *first* publish restarts
+    # fresh.
     ckpt = faulted / "search.ckpt"
     resume = str(ckpt) if CheckpointStore(ckpt).recoverable() else None
     resumed = _checker(faulted, observer=observer).run(resume_from=resume)

@@ -172,18 +172,12 @@ class Checker:
         snapshot_cache: bool = False,
         snapshot_interval: int = 16,
         snapshot_memory_mb: int = 64,
-        external_stop=None,
         heartbeat_interval: float = 0.5,
         wedge_timeout: Optional[float] = 30.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         self.program = program
-        #: Optional :class:`repro.resilience.GracefulStop` another thread
-        #: can ``request()`` to stop this search at the next execution
-        #: boundary (the checking service's cancellation path).  Works
-        #: with ``handle_signals=False``, off the main thread.
-        self.external_stop = external_stop
         #: Worker processes for the sharded search (1 = serial, today's
         #: behavior; see docs/parallel.md).
         self.workers = workers
@@ -271,8 +265,7 @@ class Checker:
         """
         options = self.resilience_options
         controller = None
-        if (options.enabled or resume_from is not None
-                or self.external_stop is not None):
+        if options.enabled or resume_from is not None:
             controller = ResilienceController(
                 options,
                 program=self.program,
@@ -281,8 +274,6 @@ class Checker:
                 observer=self.observer,
                 strategy=self.strategy,
             )
-            if self.external_stop is not None:
-                controller.attach_stop(self.external_stop)
         search = self._make_search(controller)
         resume_warnings: List[str] = []
         if resume_from is not None:
@@ -290,8 +281,7 @@ class Checker:
             search.load_state_dict(payload["state"])
 
         with self._search_span():
-            if (controller is not None and options.handle_signals
-                    and self.external_stop is None):
+            if controller is not None and options.handle_signals:
                 with GracefulStop() as stop:
                     controller.attach_stop(stop)
                     exploration = search.explore()

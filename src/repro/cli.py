@@ -122,7 +122,12 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                         help="context bound (max preemptions per execution)")
     parser.add_argument("--k-yield", type=int, default=1,
                         help="process every k-th yield (soundness knob)")
-    parser.add_argument("--max-executions", type=int, default=None)
+    parser.add_argument("--max-executions", type=int, default=None,
+                        metavar="N",
+                        help="execution budget of the whole search, a "
+                             "resumed checkpoint's executions included "
+                             "(rerun with --resume and a larger N to "
+                             "search in slices)")
     parser.add_argument("--max-seconds", type=float, default=None)
     parser.add_argument("--random-executions", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
@@ -435,172 +440,6 @@ def _cmd_chaos(options: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_serve(options: argparse.Namespace) -> int:
-    from repro.service import CheckServer
-    from repro.service.http_api import ServiceHttpServer
-
-    weights = None
-    if options.weight:
-        weights = {}
-        for raw in options.weight:
-            name, _, value = raw.partition("=")
-            try:
-                weights[name] = int(value)
-            except ValueError:
-                raise SystemExit(f"bad --weight {raw!r}; expected class=N")
-    try:
-        server = CheckServer(
-            options.data_dir,
-            fleet=options.fleet,
-            quantum_executions=options.quantum,
-            weights=weights,
-            max_active_per_client=options.max_active_per_client,
-            submit_rate=options.submit_rate,
-            submit_burst=options.submit_burst,
-            retention_seconds=options.retention,
-        )
-    except OSError as exc:
-        # An unwritable jobs directory must be a loud boot failure, not
-        # a server that idles while silently losing every submission.
-        print(f"error: jobs directory {options.data_dir!r} is not "
-              f"writable: {exc}", file=sys.stderr, flush=True)
-        return 2
-    http_server = None
-    if options.http is not None:
-        http_server = ServiceHttpServer(server, host=options.http_host,
-                                        port=options.http)
-        http_server.start()
-        print(f"http: {http_server.url}", flush=True)
-    print(f"serving {options.data_dir} "
-          f"(fleet={options.fleet}, quantum={options.quantum})", flush=True)
-    try:
-        server.serve_forever(idle_exit_seconds=options.idle_exit)
-    finally:
-        if http_server is not None:
-            http_server.stop()
-    print("server stopped", flush=True)
-    return 0
-
-
-def _job_client(options: argparse.Namespace):
-    from repro.service.client import make_client
-
-    if (options.data_dir is None) == (getattr(options, "url", None) is None):
-        raise SystemExit("pass exactly one of --data-dir or --url")
-    return make_client(data_dir=options.data_dir, url=options.url)
-
-
-def _job_exit_code(record: dict) -> int:
-    """--wait exit codes: pass 0, fail 1, cancelled 3, infra failure 4."""
-    state = record.get("state")
-    if state == "done":
-        return 0 if record.get("verdict") == "pass" else 1
-    if state == "cancelled":
-        return 3
-    return 4
-
-
-def _cmd_job_submit(options: argparse.Namespace) -> int:
-    from repro.service import JobSpec
-    from repro.service.server import RateLimitedError
-
-    config = {}
-    for raw in options.config:
-        key, sep, value = raw.partition("=")
-        if not sep:
-            raise SystemExit(f"bad --config {raw!r}; expected key=value")
-        try:
-            config[key] = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            config[key] = value
-    spec = JobSpec(program=options.program,
-                   factory_args=list(options.factory_arg),
-                   config=config, priority=options.priority,
-                   client=options.client, stream=options.stream)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    client = _job_client(options)
-    try:
-        job_id = client.submit(spec)
-    except RateLimitedError as exc:
-        print(f"rate limited: {exc}", file=sys.stderr)
-        return 4
-    print(job_id, flush=True)
-    if not options.wait:
-        return 0
-    record = client.wait(job_id, timeout=options.timeout)
-    print(f"{record['state']}"
-          + (f" verdict={record['verdict']}" if record.get("verdict")
-             else "")
-          + (f" error={record['error']}" if record.get("error") else ""))
-    return _job_exit_code(record)
-
-
-def _cmd_job_status(options: argparse.Namespace) -> int:
-    import json as json_module
-
-    client = _job_client(options)
-    try:
-        record = client.status(options.job_id)
-    except KeyError:
-        print(f"unknown job {options.job_id}", file=sys.stderr)
-        return 2
-    print(json_module.dumps(record, indent=2, sort_keys=True, default=str))
-    return 0
-
-
-def _cmd_job_list(options: argparse.Namespace) -> int:
-    client = _job_client(options)
-    for record in client.list_jobs():
-        verdict = record.get("verdict") or "-"
-        spec = record.get("spec", {})
-        print(f"{record['id']}  {record['state']:<9} {verdict:<5} "
-              f"{spec.get('priority', '?'):<7} "
-              f"exec={record.get('executions', 0):<7} "
-              f"{spec.get('program', '?')}")
-    return 0
-
-
-def _cmd_job_watch(options: argparse.Namespace) -> int:
-    import json as json_module
-
-    client = _job_client(options)
-    try:
-        for event in client.watch(options.job_id, timeout=options.timeout):
-            print(json_module.dumps(event, sort_keys=True, default=str),
-                  flush=True)
-    except TimeoutError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    record = client.status(options.job_id)
-    return _job_exit_code(record)
-
-
-def _cmd_job_result(options: argparse.Namespace) -> int:
-    import json as json_module
-
-    client = _job_client(options)
-    result = client.result(options.job_id)
-    if result is None:
-        print("result not ready", file=sys.stderr)
-        return 2
-    print(json_module.dumps(result, indent=2, sort_keys=True, default=str))
-    return 0
-
-
-def _cmd_job_cancel(options: argparse.Namespace) -> int:
-    client = _job_client(options)
-    client.cancel(options.job_id)
-    if not options.wait:
-        print("cancel requested", flush=True)
-        return 0
-    record = client.wait(options.job_id, timeout=options.timeout)
-    print(record["state"])
-    return _job_exit_code(record)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -699,108 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="relative slack for noisy metrics "
                                      "(default 0.2 = 20%%)")
     compare_parser.set_defaults(func=_cmd_bench_compare)
-
-    serve_parser = sub.add_parser(
-        "serve", help="run the checking service (docs/service.md)")
-    serve_parser.add_argument("--data-dir", required=True,
-                              help="durable service state directory")
-    serve_parser.add_argument("--fleet", type=int, default=2, metavar="N",
-                              help="worker threads shared across jobs")
-    serve_parser.add_argument("--quantum", type=int, default=50, metavar="N",
-                              help="executions per scheduler quantum")
-    serve_parser.add_argument("--http", type=int, default=None,
-                              metavar="PORT",
-                              help="also listen on localhost HTTP "
-                                   "(0 = ephemeral port, printed on start)")
-    serve_parser.add_argument("--http-host", default="127.0.0.1")
-    serve_parser.add_argument("--idle-exit", type=float, default=None,
-                              metavar="SECONDS",
-                              help="exit after this long with no active jobs")
-    serve_parser.add_argument("--max-active-per-client", type=int,
-                              default=None, metavar="N",
-                              help="per-client concurrent-job cap "
-                                   "(excess is backlogged)")
-    serve_parser.add_argument("--submit-rate", type=float, default=None,
-                              metavar="PER_SECOND",
-                              help="per-client submission token-bucket rate")
-    serve_parser.add_argument("--submit-burst", type=float, default=None,
-                              metavar="TOKENS")
-    serve_parser.add_argument("--retention", type=float, default=None,
-                              metavar="SECONDS",
-                              help="delete terminal job dirs older than this")
-    serve_parser.add_argument("--weight", action="append", default=[],
-                              metavar="CLASS=N",
-                              help="override a priority class weight; "
-                                   "repeatable (default smoke=6 default=3 "
-                                   "bulk=1)")
-    serve_parser.set_defaults(func=_cmd_serve)
-
-    job_parser = sub.add_parser(
-        "job", help="batch client for the checking service")
-    job_sub = job_parser.add_subparsers(dest="job_command", required=True)
-
-    def _add_transport(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--data-dir", default=None,
-                       help="filesystem transport: the server's data dir")
-        p.add_argument("--url", default=None,
-                       help="HTTP transport: the server's base URL")
-
-    submit_parser = job_sub.add_parser("submit", help="submit a job")
-    submit_parser.add_argument("program",
-                               help="factory spec package.module:factory")
-    submit_parser.add_argument("-a", "--factory-arg", action="append",
-                               default=[],
-                               help="argument for the factory (Python "
-                                    "literal); repeatable")
-    submit_parser.add_argument("--priority", default="default",
-                               choices=["smoke", "default", "bulk"])
-    submit_parser.add_argument("--client", default="anonymous",
-                               help="client identity for rate limiting")
-    submit_parser.add_argument("--stream", default="lifecycle",
-                               choices=["lifecycle", "executions",
-                                        "decisions"],
-                               help="events.jsonl verbosity")
-    submit_parser.add_argument("--config", action="append", default=[],
-                               metavar="KEY=VALUE",
-                               help="checker config entry (Python literal "
-                                    "value); repeatable, e.g. "
-                                    "--config strategy='dfs' "
-                                    "--config max_executions=500")
-    submit_parser.add_argument("--wait", action="store_true",
-                               help="block until terminal; exit 0 pass, "
-                                    "1 fail, 3 cancelled, 4 failed")
-    submit_parser.add_argument("--timeout", type=float, default=None)
-    _add_transport(submit_parser)
-    submit_parser.set_defaults(func=_cmd_job_submit)
-
-    status_parser = job_sub.add_parser("status", help="show one job record")
-    status_parser.add_argument("job_id")
-    _add_transport(status_parser)
-    status_parser.set_defaults(func=_cmd_job_status)
-
-    list_parser = job_sub.add_parser("list", help="list all jobs")
-    _add_transport(list_parser)
-    list_parser.set_defaults(func=_cmd_job_list)
-
-    watch_parser = job_sub.add_parser(
-        "watch", help="stream a job's events until it finishes")
-    watch_parser.add_argument("job_id")
-    watch_parser.add_argument("--timeout", type=float, default=None)
-    _add_transport(watch_parser)
-    watch_parser.set_defaults(func=_cmd_job_watch)
-
-    result_parser = job_sub.add_parser("result",
-                                       help="print a job's final result")
-    result_parser.add_argument("job_id")
-    _add_transport(result_parser)
-    result_parser.set_defaults(func=_cmd_job_result)
-
-    cancel_parser = job_sub.add_parser("cancel", help="cancel a job")
-    cancel_parser.add_argument("job_id")
-    cancel_parser.add_argument("--wait", action="store_true")
-    cancel_parser.add_argument("--timeout", type=float, default=None)
-    _add_transport(cancel_parser)
-    cancel_parser.set_defaults(func=_cmd_job_cancel)
 
     options = parser.parse_args(argv)
     try:

@@ -1,11 +1,10 @@
 """The one atomic-write helper every durable artifact goes through.
 
-Three near-identical tmp-write-then-``os.replace`` snippets used to
-live in ``engine/persistence.py``, ``service/store.py``, and
-``resilience/checkpoint.py`` — none of them fsynced, so a crash after
-the rename could publish an empty or torn file, and a crash after a
-successful-looking save could lose it entirely.  They are unified here
-with the full durability dance:
+Near-identical tmp-write-then-``os.replace`` snippets used to live in
+``engine/persistence.py`` and ``resilience/checkpoint.py`` — none of
+them fsynced, so a crash after the rename could publish an empty or
+torn file, and a crash after a successful-looking save could lose it
+entirely.  They are unified here with the full durability dance:
 
 1. write the payload to ``path.tmp`` (same directory, so the rename
    stays atomic);

@@ -291,43 +291,6 @@ class CheckpointWriteFailed(Event):
     error: str
 
 
-@dataclass(frozen=True)
-class JobSubmitted(Event):
-    """A checking job was admitted by the service (docs/service.md)."""
-
-    type: ClassVar[str] = "job.submitted"
-
-    job: str
-    program: str
-    priority: str
-    client: str
-
-
-@dataclass(frozen=True)
-class JobStateChanged(Event):
-    """A job moved through its lifecycle state machine."""
-
-    type: ClassVar[str] = "job.state"
-
-    job: str
-    state: str  # JobState.value
-    verdict: Optional[str]  # "pass"/"fail" once done
-    error: Optional[str]
-
-
-@dataclass(frozen=True)
-class JobQuantumFinished(Event):
-    """One scheduler quantum of a job completed (cumulative counters)."""
-
-    type: ClassVar[str] = "job.quantum"
-
-    job: str
-    quantum: int  # 1-based quantum index for this job
-    executions: int  # cumulative executions across all quanta
-    transitions: int
-    requeued: bool  # True when the job still has work left
-
-
 #: Registry of wire names, for trace readers.
 EVENT_TYPES: Dict[str, type] = {
     cls.type: cls
@@ -354,9 +317,6 @@ EVENT_TYPES: Dict[str, type] = {
         WorkerWedged,
         CheckpointRecovered,
         CheckpointWriteFailed,
-        JobSubmitted,
-        JobStateChanged,
-        JobQuantumFinished,
     )
 }
 

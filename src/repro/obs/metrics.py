@@ -12,12 +12,12 @@ Metric names are dotted lowercase (``divergence.livelock``,
 update path (plain attribute arithmetic under a per-instrument lock).
 
 Thread safety: instruments are updated concurrently when several
-checking jobs share one process (the service's worker fleet,
-``docs/service.md``), and ``value += amount`` is a read-modify-write
-that loses increments between bytecodes.  Every mutation therefore
-holds a per-instrument lock; reads of a single int/float attribute stay
-lock-free (atomic under the GIL), while multi-field reads (histogram
-export) lock to see a consistent snapshot.
+checks share one registry from different threads of a process, and
+``value += amount`` is a read-modify-write that loses increments
+between bytecodes.  Every mutation therefore holds a per-instrument
+lock; reads of a single int/float attribute stay lock-free (atomic
+under the GIL), while multi-field reads (histogram export) lock to see
+a consistent snapshot.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import os
 import random
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.chaos.faults import record_op
 from repro.durableio import atomic_write_text
@@ -297,10 +297,8 @@ class CheckpointStore:
         """Remove the checkpoint and every sibling it may have spawned
         (``.tmp``, ``.prev``, ``.prevtmp``, ``.corrupt``).
 
-        Returns True when a checkpoint file was actually removed.  Used
-        by long-lived owners — the checking service garbage-collects a
-        job's checkpoint the moment the job reaches a terminal state —
-        so finished work never leaves resume state behind.
+        Returns True when a checkpoint file was actually removed, so
+        finished work can retire its resume state in one call.
         """
         removed = False
         for candidate in (self.path, self._tmp_path(), self._prev_path(),
@@ -311,59 +309,6 @@ class CheckpointStore:
             except FileNotFoundError:
                 pass
         return removed
-
-    @staticmethod
-    def list(directory: Union[str, Path]) -> List[Path]:
-        """Valid checkpoint files directly under ``directory``, sorted.
-
-        A file qualifies when it parses as a JSON object carrying this
-        module's ``format`` marker and a strategy ``state`` — foreign
-        JSON (repro files, job records) is skipped, as are unreadable
-        files.  A missing directory is an empty listing, not an error.
-        """
-        root = Path(directory)
-        if not root.is_dir():
-            return []
-        found: List[Path] = []
-        skip = (".tmp", ".prev", ".prevtmp", ".corrupt")
-        for path in sorted(root.iterdir()):
-            if not path.is_file() or path.name.endswith(skip):
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if (isinstance(payload, dict)
-                    and payload.get("format") == FORMAT_VERSION
-                    and isinstance(payload.get("state"), dict)):
-                found.append(path)
-        return found
-
-    @staticmethod
-    def sweep_stale(directory: Union[str, Path], max_age: float,
-                    *, now: Optional[float] = None) -> List[Path]:
-        """Delete checkpoints older than ``max_age`` seconds; returns them.
-
-        Age is measured from the checkpoint's own ``saved_at`` stamp
-        (falling back to the file mtime for hand-edited files).  Only
-        files :meth:`list` recognizes as checkpoints are touched, so a
-        sweep over a mixed directory can never eat repro schedules or
-        job records.
-        """
-        reference = time.time() if now is None else now
-        deleted: List[Path] = []
-        for path in CheckpointStore.list(directory):
-            try:
-                payload = json.loads(path.read_text())
-                saved_at = payload.get("saved_at")
-                if not isinstance(saved_at, (int, float)):
-                    saved_at = path.stat().st_mtime
-                if reference - saved_at > max_age:
-                    path.unlink()
-                    deleted.append(path)
-            except OSError:
-                continue  # raced with another sweeper; nothing to do
-        return deleted
 
     def load(self) -> dict:
         """Read and validate the checkpoint; raises ``ValueError`` when

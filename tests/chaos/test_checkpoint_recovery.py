@@ -37,12 +37,6 @@ class TestRotation:
         store.delete()
         assert list(tmp_path.iterdir()) == []
 
-    def test_list_hides_rotation_siblings(self, tmp_path):
-        store = CheckpointStore(tmp_path / "s.ckpt")
-        store.save(payload(1))
-        store.save(payload(2))
-        assert CheckpointStore.list(tmp_path) == [tmp_path / "s.ckpt"]
-
 
 class TestLoadOrRecover:
     def test_clean_load_is_not_a_recovery(self, tmp_path):

@@ -1,9 +1,9 @@
 """Thread-safety hammer for the metrics registry.
 
-The checking service shares one :class:`MetricsRegistry` between its
-scheduler, worker fleet, poll loop, and HTTP handlers, so counters,
-gauges, histograms, and the registry's get-or-create paths must tolerate
-concurrent mutation without losing updates or corrupting state.
+Checks running on several threads of one process may share one
+:class:`MetricsRegistry`, so counters, gauges, histograms, and the
+registry's get-or-create paths must tolerate concurrent mutation
+without losing updates or corrupting state.
 """
 
 import threading

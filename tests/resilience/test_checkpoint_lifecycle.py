@@ -1,27 +1,18 @@
-"""CheckpointStore lifecycle: delete, list, sweep_stale.
+"""CheckpointStore lifecycle: delete, and saving again after a delete.
 
-The checking service creates one checkpoint per job and must retire it
-when the job finalizes; these operations are the primitives the service
-garbage collection leans on.
+A checkpoint spawns rotation siblings (``.tmp``, ``.prev``, ...); a
+delete must retire all of them, and the same path must be usable for a
+fresh search afterwards.
 """
 
-import json
-import os
-import time
-
-from repro.resilience.checkpoint import FORMAT_VERSION, CheckpointStore
+from repro.resilience.checkpoint import CheckpointStore
 
 
-def write_checkpoint(path, *, saved_at=None, state=None):
+def write_checkpoint(path):
     store = CheckpointStore(path)
     # Mirror ResilienceController.flush_checkpoint: the strategy state
     # rides under the "state" key of the checkpoint document.
-    store.save({"state": state or {"strategy": "dfs", "frontier": {}}})
-    if saved_at is not None:
-        payload = json.loads(path.read_text())
-        payload["saved_at"] = saved_at
-        path.write_text(json.dumps(payload))
-        os.utime(path, (saved_at, saved_at))
+    store.save({"state": {"strategy": "dfs", "frontier": {}}})
     return store
 
 
@@ -44,63 +35,6 @@ class TestDelete:
         CheckpointStore(path).delete()
         assert not path.exists()
         assert not tmp_sibling.exists()
-
-
-class TestList:
-    def test_lists_only_valid_checkpoints(self, tmp_path):
-        write_checkpoint(tmp_path / "a.ckpt")
-        write_checkpoint(tmp_path / "b.ckpt")
-        (tmp_path / "junk.ckpt").write_text("{not json")
-        (tmp_path / "wrong-shape.ckpt").write_text(json.dumps({"x": 1}))
-        (tmp_path / "wrong-format.ckpt").write_text(
-            json.dumps({"format": FORMAT_VERSION + 999, "state": {}}))
-        (tmp_path / "c.ckpt.tmp").write_text("mid write")
-        found = CheckpointStore.list(tmp_path)
-        assert [p.name for p in found] == ["a.ckpt", "b.ckpt"]
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert CheckpointStore.list(tmp_path / "nowhere") == []
-
-    def test_ignores_subdirectories(self, tmp_path):
-        (tmp_path / "subdir").mkdir()
-        write_checkpoint(tmp_path / "a.ckpt")
-        assert len(CheckpointStore.list(tmp_path)) == 1
-
-
-class TestSweepStale:
-    def test_sweeps_only_old_checkpoints(self, tmp_path):
-        now = time.time()
-        write_checkpoint(tmp_path / "old.ckpt", saved_at=now - 1_000)
-        write_checkpoint(tmp_path / "fresh.ckpt", saved_at=now - 10)
-        removed = CheckpointStore.sweep_stale(tmp_path, max_age=500,
-                                              now=now)
-        assert [p.name for p in removed] == ["old.ckpt"]
-        assert not (tmp_path / "old.ckpt").exists()
-        assert (tmp_path / "fresh.ckpt").exists()
-
-    def test_never_touches_foreign_files(self, tmp_path):
-        now = time.time()
-        foreign = tmp_path / "notes.txt"
-        foreign.write_text("do not delete")
-        os.utime(foreign, (now - 9_999, now - 9_999))
-        removed = CheckpointStore.sweep_stale(tmp_path, max_age=1,
-                                              now=now)
-        assert removed == []
-        assert foreign.exists()
-
-    def test_mtime_fallback_when_saved_at_missing(self, tmp_path):
-        now = time.time()
-        path = tmp_path / "legacy.ckpt"
-        path.write_text(json.dumps({"format": FORMAT_VERSION,
-                                    "state": {"strategy": "dfs"}}))
-        os.utime(path, (now - 1_000, now - 1_000))
-        removed = CheckpointStore.sweep_stale(tmp_path, max_age=500,
-                                              now=now)
-        assert removed == [path]
-
-    def test_sweep_of_missing_directory_is_noop(self, tmp_path):
-        assert CheckpointStore.sweep_stale(tmp_path / "gone",
-                                           max_age=1) == []
 
 
 class TestRoundTripAfterLifecycle:

@@ -10,6 +10,11 @@ Each strategy is run three ways on the same workload:
 The resumed totals (executions, transitions, per-outcome counts,
 completeness) must match the reference exactly — the whole point of
 checkpointing a deterministic search.
+
+``TestSlicedEqualsDirect`` runs each strategy as a sequence of short
+``Checker`` runs, each resuming the last one's checkpoint under a
+growing ``max_executions``, and holds the result to one uninterrupted
+run: totals, verdict and the first counterexample's schedule.
 """
 
 import dataclasses
@@ -19,13 +24,16 @@ import pytest
 from repro.checker import Checker
 from repro.core.policies import fair_policy
 from repro.engine.executor import ExecutorConfig
+from repro.engine.persistence import load_and_replay, save_schedule
 from repro.engine.strategies import STRATEGIES, ExplorationLimits
 from repro.resilience import (
+    CheckpointStore,
     ResilienceController,
     ResilienceOptions,
     load_checkpoint,
 )
 from repro.workloads.dining import dining_philosophers
+from repro.workloads.wsq import work_stealing_queue
 
 CONFIG = ExecutorConfig(depth_bound=300)
 #: ICB sweeps bounds 0..1: its ceiling is the configured preemption bound.
@@ -140,3 +148,77 @@ class TestCheckerResume:
         # final flush.
         assert len(written) == 5
         assert written[-1].executions == 42
+
+
+def run_sliced(make_program, quantum, ckpt, **config):
+    """Run a search in slices of ``quantum`` executions, one fresh
+    ``Checker`` per slice, each resuming the previous slice's checkpoint
+    (what ``repro check --checkpoint P --resume --max-executions N``
+    does run after run).  Returns the last slice's checker and result,
+    and the number of slices."""
+    cap = config.pop("max_executions", None)
+    done = slices = 0
+    while True:
+        limit = done + quantum if cap is None else min(done + quantum, cap)
+        resume = str(ckpt) if CheckpointStore(ckpt).recoverable() else None
+        checker = Checker(make_program(), max_executions=limit,
+                          checkpoint_path=str(ckpt),
+                          checkpoint_interval=quantum, handle_signals=False,
+                          **config)
+        result = checker.run(resume_from=resume)
+        slices += 1
+        done = result.exploration.executions
+        if result.exploration.stop_reason != "max-executions" or done == cap:
+            return checker, result, slices
+
+
+def search_totals(result):
+    exploration = result.exploration
+    record = result.violation
+    return (exploration.executions, exploration.transitions,
+            dict(exploration.outcomes), exploration.complete,
+            exploration.first_violation_execution,
+            None if record is None else record.schedule)
+
+
+#: Per-strategy options: random search gets a fixed walk count and seed.
+SLICED_EXTRA = {"random": {"random_executions": 60, "seed": 11}}
+
+
+@pytest.mark.parametrize("name", list(STRATEGIES))
+class TestSlicedEqualsDirect:
+    """A search cut into checkpointed slices reaches the totals, verdict
+    and first counterexample of one uninterrupted ``Checker.run()``."""
+
+    def check(self, name, make_program, quantum, tmp_path, **config):
+        config = {"strategy": name, **SLICED_EXTRA.get(name, {}), **config}
+        direct = Checker(make_program(), handle_signals=False,
+                         **config).run()
+        checker, sliced, slices = run_sliced(
+            make_program, quantum, tmp_path / "sliced.ckpt", **config)
+        assert search_totals(sliced) == search_totals(direct)
+        if direct.exploration.executions > quantum:
+            assert slices > 1, "the quantum did not slice the search"
+        return checker, sliced
+
+    def test_clean_program(self, name, tmp_path):
+        self.check(name, lambda: dining_philosophers(2), 7, tmp_path)
+
+    def test_buggy_program(self, name, tmp_path):
+        self.check(name, lambda: work_stealing_queue(1, 1, 1), 9, tmp_path,
+                   max_executions=400)
+
+    def test_counterexample_replays(self, name, tmp_path):
+        def make_program():
+            return work_stealing_queue(3, 1, 2)
+
+        checker, sliced = self.check(name, make_program, 1, tmp_path,
+                                     depth_bound=200)
+        record = sliced.violation
+        assert record is not None
+        path = save_schedule(tmp_path / "repro.json", checker.program,
+                             record, policy_name=checker.policy_factory().name,
+                             config=checker.config, strategy=checker.strategy)
+        replayed = load_and_replay(path, make_program(),
+                                   checker.policy_factory, checker.config)
+        assert replayed.outcome is record.outcome
