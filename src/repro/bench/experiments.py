@@ -411,13 +411,8 @@ def hotpath_replay(
             # capture/restore perf_counter pair feeds these histograms.
             "capture_seconds": round(
                 counters.histogram("snapshot.capture.seconds").total, 4),
-            "refresh_seconds": round(
-                counters.histogram(
-                    "snapshot.capture.refresh.seconds").total, 4),
             "restore_seconds": round(
                 counters.histogram("snapshot.restore.seconds").total, 4),
-            "captured_bytes": counters.counter("snapshot.captured_bytes").value,
-            "restored_bytes": counters.counter("snapshot.restored_bytes").value,
         }
         if baseline is None:
             baseline = run

@@ -169,14 +169,15 @@ class Checker:
         handle_signals: bool = True,
         workers: int = 1,
         shard_target: Optional[int] = None,
-        snapshot_cache: bool = False,
+        snapshot_cache: bool = True,
         snapshot_interval: int = 16,
-        snapshot_memory_mb: int = 64,
         heartbeat_interval: float = 0.5,
         wedge_timeout: Optional[float] = 30.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
+        if snapshot_interval < 1:
+            raise ValueError("snapshot interval must be positive")
         self.program = program
         #: Worker processes for the sharded search (1 = serial, today's
         #: behavior; see docs/parallel.md).
@@ -220,7 +221,6 @@ class Checker:
             capture_crashes=self.resilience_options.capture_crashes,
             snapshot_cache=snapshot_cache,
             snapshot_interval=snapshot_interval,
-            snapshot_memory_mb=snapshot_memory_mb,
         )
         self.limits = ExplorationLimits(
             max_executions=max_executions,

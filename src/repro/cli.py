@@ -111,6 +111,19 @@ def _build_program(spec: str, raw_args: List[str]) -> Program:
     return result
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_checker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fairness", action="store_true",
                         help="use the classical unfair scheduler")
@@ -187,23 +200,22 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                                  "a repro file in DIR")
     performance = parser.add_argument_group(
         "performance", "exploration hot-path tuning (docs/performance.md)")
-    performance.add_argument("--snapshot-cache", action="store_true",
+    performance.add_argument("--snapshot-cache",
+                             action=argparse.BooleanOptionalAction,
+                             default=True,
                              help="cache prefix snapshots so guided "
                                   "executions skip re-executing shared "
                                   "prefixes (VM and native-thread "
-                                  "programs)")
-    performance.add_argument("--snapshot-interval", type=int, default=16,
-                             metavar="N",
+                                  "programs; dfs, bfs, por and icb)")
+    performance.add_argument("--snapshot-interval", type=_positive_int,
+                             default=16, metavar="N",
                              help="snapshot every N transitions along an "
                                   "execution (smaller = less re-execution, "
                                   "more memory)")
-    performance.add_argument("--snapshot-memory-mb", type=int, default=64,
-                             metavar="MB",
-                             help="memory budget for the snapshot cache "
-                                  "(LRU eviction past it)")
     parallel = parser.add_argument_group(
         "parallel", "sharded multi-process search (docs/parallel.md)")
-    parallel.add_argument("--workers", type=int, default=1, metavar="N",
+    parallel.add_argument("--workers", type=_positive_int, default=1,
+                          metavar="N",
                           help="worker processes for the search (1 = serial; "
                                "merged totals are worker-count independent)")
     parallel.add_argument("--shards", type=int, default=None, metavar="N",
@@ -256,7 +268,6 @@ def _make_checker(program: Program, options: argparse.Namespace) -> Checker:
         shard_target=options.shards,
         snapshot_cache=options.snapshot_cache,
         snapshot_interval=options.snapshot_interval,
-        snapshot_memory_mb=options.snapshot_memory_mb,
     )
 
 
@@ -386,7 +397,6 @@ def _cmd_profile_snapshots(options: argparse.Namespace) -> int:
         preemption_bound=bound,
         snapshot_interval=options.snapshot_interval,
         max_executions=options.max_executions,
-        snapshot_memory_mb=options.snapshot_memory_mb,
     )
     print(format_snapshot_report(report))
     if options.json_out:
@@ -516,10 +526,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     snapshots_parser.add_argument(
         "--preemption-bound", type=int, default=None,
         help="default 2; none for por and dpor, which refuse a bound")
-    snapshots_parser.add_argument("--snapshot-interval", type=int, default=4)
+    snapshots_parser.add_argument("--snapshot-interval", type=_positive_int,
+                                  default=4)
     snapshots_parser.add_argument("--max-executions", type=int, default=250)
-    snapshots_parser.add_argument("--snapshot-memory-mb", type=int,
-                                  default=64)
     snapshots_parser.add_argument("--json-out", metavar="FILE",
                                   help="also write the report as JSON")
     snapshots_parser.set_defaults(func=_cmd_profile_snapshots)

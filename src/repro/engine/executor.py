@@ -98,9 +98,10 @@ class GuidedChooser(Chooser):
         self._cursor = 0
 
     @property
-    def guide(self) -> Sequence[int]:
-        """The recorded guide (read by the prefix-snapshot cache)."""
-        return tuple(self._guide)
+    def guide(self) -> List[int]:
+        """The recorded guide, not a copy (read by the prefix-snapshot
+        cache; callers must not mutate it)."""
+        return self._guide
 
     def skip(self, count: int) -> None:
         """Advance past ``count`` decisions restored from a snapshot."""
@@ -176,16 +177,14 @@ class ExecutorConfig:
     #: records instead of letting them propagate.  Off by default: legacy
     #: behavior treats a task crash as a property violation.
     capture_crashes: bool = False
-    #: Enable the prefix-snapshot cache (docs/performance.md).  Only
-    #: effective for programs that declare ``supports_snapshot`` (the VM
-    #: runtime); the native runtime transparently falls back to full
-    #: replay.  Off by default.
-    snapshot_cache: bool = False
+    #: Use the prefix-snapshot cache (docs/performance.md) in the
+    #: guided strategies (dfs, bfs, por, each icb sweep).  Only effective
+    #: for programs that declare ``supports_snapshot`` (the VM and
+    #: native-thread runtimes); any other program fully replays.
+    snapshot_cache: bool = True
     #: Snapshot every N transitions along an execution.  Smaller = less
     #: prefix re-execution, more capture overhead and memory.
     snapshot_interval: int = 16
-    #: Memory budget for the snapshot cache, in MiB (LRU eviction).
-    snapshot_memory_mb: int = 64
 
 
 def sorted_options(values) -> list:
@@ -212,35 +211,36 @@ def _setup_instance(program: Program, config: ExecutorConfig, observer):
 
 def _restore_prefix(
     cache: PrefixSnapshotCache,
-    chooser: Chooser,
+    guide: List[int],
     program: Program,
     instance: ProgramInstance,
     config: ExecutorConfig,
-    coverage: Optional[CoverageTracker],
     observer,
     timers,
 ):
-    """Fast-forward ``instance`` through the deepest cached prefix of the
-    chooser's guide.  Returns ``(instance, snapshot-or-None)``; any
-    failure falls back to a fresh instance and full replay."""
-    guide = getattr(chooser, "guide", None)
-    skip = getattr(chooser, "skip", None)
-    forward = getattr(instance, "fast_forward", None)
-    if guide is None or skip is None or forward is None:
-        return instance, None
+    """Fast-forward ``instance`` through the deepest cached prefix of
+    ``guide``.  Returns ``(instance, snapshot, decisions)``, where
+    ``decisions`` is the new execution's copy of the snapshot's prefix;
+    the last two are None on a miss, and any failure falls back to a
+    fresh instance and full replay."""
     t0 = perf_counter() if timers is not None else 0.0
-    entry = cache.lookup(guide, need_signatures=coverage is not None)
+    entry = cache.lookup(guide)
+    decisions = None
     if entry is not None:
-        def per_step(live) -> None:
-            for monitor in config.monitors:
-                monitor(live)
+        decisions = entry.decisions[:entry.count]
+        monitors = config.monitors
+        per_step = None
+        if monitors:
+            def per_step(live) -> None:
+                for monitor in monitors:
+                    monitor(live)
 
         try:
             rule = fault_at("snapshot.restore", steps=entry.steps)
             if rule is not None:
                 raise InjectedFault(
                     f"injected snapshot.restore fault ({rule.kind})")
-            forward(entry.decisions, per_step=per_step)
+            instance.fast_forward(decisions, per_step=per_step)
         except Exception:  # noqa: BLE001 - determinism-contract guard
             # The prefix did not replay cleanly, so the program broke the
             # determinism contract; trust nothing cached and fall back to
@@ -250,18 +250,16 @@ def _restore_prefix(
             if closer is not None:
                 closer()
             instance = _setup_instance(program, config, observer)
-            entry = None
+            entry = decisions = None
     if timers is not None:
         elapsed = perf_counter() - t0
         timers.add("snapshot", elapsed)
         if observer is not None:
-            observer.snapshot_restore_timed(
-                elapsed,
-                entry.estimated_bytes() if entry is not None else 0)
+            observer.snapshot_restore_timed(elapsed)
     if observer is not None:
         observer.snapshot_lookup(entry is not None,
                                  entry.steps if entry is not None else 0)
-    return instance, entry
+    return instance, entry, decisions
 
 
 def run_execution(
@@ -285,12 +283,13 @@ def run_execution(
 
     ``snapshot_cache`` is an optional
     :class:`~repro.engine.snapshots.PrefixSnapshotCache` owned by the
-    calling strategy: when the chooser carries a guide, the execution
-    starts from the deepest cached snapshot whose decision prefix matches
-    it (instead of re-executing from step 0) and stores new snapshots
-    every ``cache.interval`` transitions.  Cached and uncached runs
-    produce identical results; a pruner disables the cache because prefix
-    restoration would skip its per-state consultations.
+    calling strategy: when the chooser carries a guide and the instance
+    can ``fast_forward``, the execution starts from the deepest cached
+    snapshot whose decision prefix matches it (instead of re-executing
+    from step 0) and captures new snapshots every ``cache.interval``
+    transitions.  Cached and uncached runs produce identical results; a
+    pruner disables the cache because prefix restoration would skip its
+    per-state consultations.
 
     ``reducer`` is the per-execution hook of a partial-order reduction
     (sleep-set POR, source-DPOR).  It must also be the ``chooser``, which
@@ -317,47 +316,60 @@ def run_execution(
     profiler = observer.profiler if observer is not None else None
 
     restored: Optional[PrefixSnapshot] = None
+    #: The step of the next snapshot capture (-1: none).
+    capture_at = -1
     if snapshot_cache is not None:
-        instance, restored = _restore_prefix(
-            snapshot_cache, chooser, program, instance, config, coverage,
-            observer, timers)
+        guide = getattr(chooser, "guide", None)
+        if guide is None or not hasattr(instance, "fast_forward"):
+            # No prefix to match, or no way to restore one: run uncached
+            # and capture nothing, so the cache stays on one path.
+            snapshot_cache = None
+        else:
+            instance, restored, decisions = _restore_prefix(
+                snapshot_cache, guide, program, instance, config, observer,
+                timers)
+            capture_at = snapshot_cache.interval + (
+                restored.steps if restored is not None else 0)
 
+    track_signatures = snapshot_cache is not None and coverage is not None
     if restored is not None:
         # Resume the engine where the snapshot left off: the restored
         # policy state already saw every prefix step (register_thread
         # included), the chooser cursor jumps past the restored
         # decisions, and the coverage tracker replays the prefix's
         # recorded signatures so totals match a full replay exactly.
-        policy = restored.restore_policy(policy)
-        chooser.skip(len(restored.decisions))
+        policy.restore_state(restored.policy_state)
+        chooser.skip(restored.count)
         if reducer is not None:
             reducer.restore_state(restored.reducer_state)
-        decisions: List[Decision] = list(restored.decisions)
         trace: deque = deque(restored.trace, maxlen=config.trace_window)
         steps = restored.steps
         preemptions = restored.preemptions
         yields = restored.yields
         last_tid: object = restored.last_tid
         last_was_yield = restored.last_was_yield
-        if coverage is not None and restored.signatures:
+        prefix_signatures: List = []
+        if track_signatures:
             t0 = perf_counter() if timers is not None else 0.0
-            for signature in restored.signatures:
+            prefix_signatures = restored.signatures[:steps]
+            for signature in prefix_signatures:
                 coverage.record(signature)
             if timers is not None:
                 elapsed = perf_counter() - t0
                 timers.add("snapshot", elapsed)
                 if observer is not None:
-                    observer.snapshot_restore_timed(elapsed, 0)
+                    observer.snapshot_restore_timed(elapsed)
     else:
         for tid in sorted_options(instance.thread_ids()):
             policy.register_thread(tid)
-        decisions = []
+        decisions: List[Decision] = []
         trace = deque(maxlen=config.trace_window)
         steps = 0
         preemptions = 0
         yields = 0
         last_tid = None
         last_was_yield = False
+        prefix_signatures = []
 
     if profiler is not None:
         # Cursor into the decision-cost tree: enter at the prefix already
@@ -369,9 +381,6 @@ def run_execution(
         pnode = None
         pmark = 0.0
 
-    track_signatures = snapshot_cache is not None and coverage is not None
-    prefix_signatures: List = (list(restored.signatures or ())
-                               if restored is not None else [])
     hit_depth_bound = False
     completing_randomly = False
     completion_end = 0  # random completion's step cap, set when it starts
@@ -396,6 +405,9 @@ def run_execution(
     config_monitors = config.monitors
     local_monitors = getattr(instance, "monitors", ())
     temporal_monitors = getattr(instance, "temporal_monitors", ())
+    # Monitors are installed at set-up, so this one test spares every
+    # step of an unmonitored program the walk of three empty lists.
+    monitored = bool(config_monitors or local_monitors or temporal_monitors)
     depth_bound = config.depth_bound
     preemption_bound = config.preemption_bound
     record_decision = decisions.append
@@ -446,33 +458,23 @@ def run_execution(
             if observer is not None:
                 observer.execution_aborted(steps, abort_reason)
             break
-        if (snapshot_cache is not None and not completing_randomly
-                and steps > 0 and steps % snapshot_cache.interval == 0):
+        if steps == capture_at:
             # Capture BEFORE recording this state's coverage signature:
             # the stored signatures then cover states 0..steps-1, and the
             # resumed loop records state ``steps`` itself — totals match a
             # full replay exactly.
             t0 = perf_counter() if timers is not None else 0.0
             snapshot_cache.capture(
-                decisions=decisions,
-                steps=steps,
-                policy=policy,
-                preemptions=preemptions,
-                yields=yields,
-                last_tid=last_tid,
-                last_was_yield=last_was_yield,
-                trace=trace,
-                signatures=(prefix_signatures if track_signatures else None),
-                reducer_state=(reducer.snapshot_state()
-                               if reducer is not None else None),
-            )
+                decisions, steps, policy, preemptions, yields, last_tid,
+                last_was_yield, trace,
+                prefix_signatures if track_signatures else None,
+                reducer.snapshot_state() if reducer is not None else None)
+            capture_at += snapshot_cache.interval
             if timers is not None:
                 elapsed = perf_counter() - t0
                 timers.add("snapshot", elapsed)
                 if observer is not None:
-                    observer.snapshot_capture_timed(
-                        elapsed, snapshot_cache.last_capture_bytes,
-                        outcome=snapshot_cache.last_capture_outcome)
+                    observer.snapshot_capture_timed(elapsed)
         if coverage is not None:
             if timers is not None:
                 t0 = perf_counter()
@@ -529,6 +531,7 @@ def run_execution(
             if config.on_depth_exceeded == "random-completion":
                 completing_randomly = True
                 completion_end = depth_bound + config.random_completion_cap
+                capture_at = -1
                 rng = completion_rng
                 if rng is None:
                     # Derive the fallback from the recorded decision
@@ -562,7 +565,8 @@ def run_execution(
             )
 
         # ---- context bounding -----------------------------------------
-        options = sorted_options(schedulable)
+        options = ([*schedulable] if len(schedulable) == 1
+                   else sorted_options(schedulable))
         switch_costs_preemption = False
         if preemption_bound is not None and not completing_randomly:
             if last_tid is not None and last_tid in enabled and not last_was_yield:
@@ -611,12 +615,13 @@ def run_execution(
         t0 = perf_counter() if timers is not None else 0.0
         try:
             info = step(tid)
-            for monitor in config_monitors:
-                monitor(instance)
-            for local_monitor in local_monitors:
-                local_monitor()
-            for temporal in temporal_monitors:
-                temporal.observe()
+            if monitored:
+                for monitor in config_monitors:
+                    monitor(instance)
+                for local_monitor in local_monitors:
+                    local_monitor()
+                for temporal in temporal_monitors:
+                    temporal.observe()
         except ExecutionHung as exc:
             outcome = Outcome.ABORTED
             abort_reason = str(exc)

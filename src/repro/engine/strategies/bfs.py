@@ -66,11 +66,11 @@ class BfsStrategy(SearchStrategy):
         # queue can never leave the subtree because children only extend
         # their parent's guide.
         self.queue: deque = deque([list(prefix or [])])
-        #: Prefix-snapshot cache.  BFS revisits prefixes level by level
-        #: with no lexicographic order, so there is no sound eager
-        #: invalidation — the LRU memory budget is the only bound.
+        #: Prefix-snapshot cache.  Within one level BFS runs its guides
+        #: in lexicographic order, so siblings share their parent's
+        #: cached prefix; the cache keeps no entry across subtrees.
         self.snapshot_cache = PrefixSnapshotCache.from_config(
-            self.config, program, observer=observer)
+            self.config, program)
 
     # ------------------------------------------------------------------
     def _has_work(self) -> bool:

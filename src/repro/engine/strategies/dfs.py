@@ -80,10 +80,9 @@ class DfsStrategy(SearchStrategy):
         self.guide: Optional[List[int]] = list(self.prefix)
         self.completion_rng = random.Random(self.config.seed)
         #: Prefix-snapshot cache (None unless enabled and the program
-        #: supports it); DFS visits guides in lexicographic order, so
-        #: stale entries are invalidated eagerly on every backtrack.
+        #: supports it).
         self.snapshot_cache = PrefixSnapshotCache.from_config(
-            self.config, program, observer=observer)
+            self.config, program)
 
     def strategy_label(self) -> str:
         return self._label
@@ -114,13 +113,6 @@ class DfsStrategy(SearchStrategy):
             # exhausted (every longer guide shares the prefix, because a
             # guided replay fixes those decisions).
             self.guide = None
-        if self.snapshot_cache is not None:
-            if self.guide is None:
-                self.snapshot_cache.clear()
-            else:
-                # Lexicographic order makes this complete: a cached prefix
-                # that diverges from the next guide can never match again.
-                self.snapshot_cache.invalidate_not_prefix_of(self.guide)
 
     def _announce(self) -> None:
         if self.observer is not None and self.guide is not None:

@@ -18,8 +18,7 @@ Metric names (see ``docs/observability.md`` for the full schema):
   ``dpor.fairness_skipped``, ``crashes``, ``crashes.quarantined``,
   ``executions.aborted``, ``checkpoints``, ``threads.leaked``,
   ``executions.replayed_steps``, ``executions.restored_steps``,
-  ``snapshot.hits``, ``snapshot.misses``, ``snapshot.evictions``,
-  ``snapshot.captured_bytes``, ``snapshot.restored_bytes``;
+  ``snapshot.hits``, ``snapshot.misses``;
 * gauges — ``wall.seconds``, ``rate.executions_per_second``,
   ``rate.transitions_per_second``;
 * histograms — ``schedulable_set_size``, ``enabled_set_size``,
@@ -393,61 +392,25 @@ class Observer:
             self.metrics.counter("executions.restored_steps").inc(
                 restored_steps)
 
-    def snapshot_stored(self, entries: int, estimated_bytes: int) -> None:
-        self.metrics.counter("snapshot.stored").inc()
-        self.metrics.gauge("snapshot.entries").set(entries)
-        self.metrics.gauge("snapshot.estimated_bytes").set(estimated_bytes)
-
-    def snapshot_evicted(self, count: int) -> None:
-        self.metrics.counter("snapshot.evictions").inc(count)
-
-    def snapshot_oversized(self, estimated_bytes: int) -> None:
-        """An entry was refused because its estimated size alone exceeds
-        the cache's memory budget (storing it would pin the cache over
-        budget forever)."""
-        self.metrics.counter("snapshot.oversized").inc()
-        self.metrics.counter("snapshot.oversized_bytes").inc(
-            estimated_bytes)
-
     def prefix_replayed(self, steps: int) -> None:
         """Prefix transitions re-executed through the full engine loop
         (the cost the snapshot cache removes; counted even with the cache
         off so benchmarks can report the reduction)."""
         self.metrics.counter("executions.replayed_steps").inc(steps)
 
-    def snapshot_capture_timed(self, seconds: float,
-                               estimated_bytes: int,
-                               outcome: str = "stored") -> None:
+    def snapshot_capture_timed(self, seconds: float) -> None:
         """Measured cost of one snapshot capture (docs/profiling.md).
 
         Fed by the same ``perf_counter`` pair that feeds the ``snapshot``
-        phase timer, so capture + refresh + restore histogram sums
-        account for the phase total.  ``outcome`` distinguishes captures
-        that stored a new entry from refresh-only calls (the key was
-        already cached — an LRU touch, no state captured) and refused
-        oversized entries, so the amortization report doesn't charge
-        refreshes as if they copied state.
+        phase timer, so the capture and restore histogram sums account
+        for the phase total.
         """
-        if outcome == "stored":
-            self.metrics.histogram("snapshot.capture.seconds").record(
-                seconds)
-        else:
-            if outcome == "refreshed":
-                self.metrics.counter("snapshot.refreshes").inc()
-            self.metrics.histogram("snapshot.capture.refresh.seconds"
-                                   ).record(seconds)
-        if estimated_bytes:
-            self.metrics.counter("snapshot.captured_bytes").inc(
-                estimated_bytes)
+        self.metrics.histogram("snapshot.capture.seconds").record(seconds)
 
-    def snapshot_restore_timed(self, seconds: float,
-                               estimated_bytes: int) -> None:
-        """Measured cost of one cache lookup/fast-forward (0 bytes on a
-        miss; also covers signature replay into the coverage tracker)."""
+    def snapshot_restore_timed(self, seconds: float) -> None:
+        """Measured cost of one cache lookup/fast-forward (also covers
+        signature replay into the coverage tracker)."""
         self.metrics.histogram("snapshot.restore.seconds").record(seconds)
-        if estimated_bytes:
-            self.metrics.counter("snapshot.restored_bytes").inc(
-                estimated_bytes)
 
     # ------------------------------------------------------------------
     # reporting

@@ -53,8 +53,7 @@ _EXACT = ("ok", "executions", "transitions")
 
 #: Interesting but not gated.
 _INFO = ("replayed_steps", "restored_steps", "snapshot_hits",
-         "snapshot_misses", "capture_seconds", "refresh_seconds",
-         "restore_seconds", "captured_bytes", "restored_bytes")
+         "snapshot_misses", "capture_seconds", "restore_seconds")
 
 #: Entry/document fields treated as provenance: drift warns.
 _PROVENANCE = (

@@ -10,16 +10,12 @@ save.  This module runs the hotpath sweep twice — cache off, cache on —
 with full cost accounting enabled and answers with numbers instead of a
 guess:
 
-* **accounting** — per-capture and per-restore seconds and bytes,
-  recorded by the executor into the ``snapshot.capture.seconds`` /
-  ``snapshot.capture.refresh.seconds`` / ``snapshot.restore.seconds``
-  histograms and the ``snapshot.captured_bytes`` /
-  ``snapshot.restored_bytes`` counters.  Refresh-only captures (the key
-  was already cached; nothing is copied) are kept out of the capture
-  histogram so its mean reflects real state captures.  Every
-  ``perf_counter`` pair that feeds the ``snapshot`` phase timer also
-  feeds one of these, so ``capture + refresh + restore`` accounts for
-  (within noise, equals) the phase total;
+* **accounting** — per-capture and per-restore seconds, recorded by
+  the executor into the ``snapshot.capture.seconds`` /
+  ``snapshot.restore.seconds`` histograms.  Every ``perf_counter`` pair
+  that feeds the ``snapshot`` phase timer also feeds one of these, so
+  ``capture + restore`` accounts for (within noise, equals) the phase
+  total;
 * **amortization model** — the cache saves
   ``saved_steps × per_step_replay_seconds`` (per-step cost estimated
   from the cache-off run) and costs ``capture + restore`` seconds.
@@ -61,7 +57,6 @@ def snapshot_amortization(
     preemption_bound: Optional[int] = 2,
     snapshot_interval: int = 4,
     max_executions: Optional[int] = 250,
-    snapshot_memory_mb: int = 64,
     regression_tolerance: float = DEFAULT_REGRESSION_TOLERANCE,
 ) -> Dict[str, object]:
     """Run the sweep cache-off then cache-on and amortize the costs.
@@ -87,7 +82,6 @@ def snapshot_amortization(
             max_executions=max_executions,
             snapshot_cache=cached,
             snapshot_interval=snapshot_interval,
-            snapshot_memory_mb=snapshot_memory_mb,
             stop_on_first_violation=False,
             stop_on_first_divergence=False,
             handle_signals=False,
@@ -119,20 +113,11 @@ def snapshot_amortization(
 
     on_metrics = observers[1].metrics
     capture = _histogram_stats(on_metrics, "snapshot.capture.seconds")
-    capture["bytes"] = on_metrics.counter("snapshot.captured_bytes").value
-    # Refresh-only captures (the key was already cached — an LRU touch,
-    # no state captured) are timed separately so they aren't charged as
-    # state copies; they still count toward the total overhead.
-    refresh = _histogram_stats(on_metrics,
-                               "snapshot.capture.refresh.seconds")
     restore = _histogram_stats(on_metrics, "snapshot.restore.seconds")
-    restore["bytes"] = on_metrics.counter("snapshot.restored_bytes").value
     phase_seconds = observers[1].timers.totals.get("snapshot", 0.0)
-    accounted = (float(capture["seconds"]) + float(refresh["seconds"])
-                 + float(restore["seconds"]))
+    accounted = float(capture["seconds"]) + float(restore["seconds"])
     accounting = {
         "capture": capture,
-        "refresh": refresh,
         "restore": restore,
         "snapshot_phase_seconds": phase_seconds,
         "accounted_seconds": accounted,
@@ -198,9 +183,6 @@ def format_snapshot_report(report: Dict[str, object]) -> str:
     off, on = report["runs"]
     accounting = report["accounting"]
     capture = accounting["capture"]
-    refresh = accounting.get("refresh",
-                             {"count": 0, "seconds": 0.0,
-                              "mean_seconds": None})
     restore = accounting["restore"]
     model = report["model"]
 
@@ -229,16 +211,10 @@ def format_snapshot_report(report: Dict[str, object]) -> str:
         "cost accounting (cache on):",
         f"  captures  {capture['count']:>6}  "
         f"total={seconds(capture['seconds'])}  "
-        f"mean={mean_micros(capture['mean_seconds'])}  "
-        f"bytes={capture['bytes']}",
-        f"  refreshes {refresh['count']:>6}  "
-        f"total={seconds(refresh['seconds'])}  "
-        f"mean={mean_micros(refresh['mean_seconds'])}  "
-        f"(LRU touches, no state captured)",
+        f"mean={mean_micros(capture['mean_seconds'])}",
         f"  restores  {restore['count']:>6}  "
         f"total={seconds(restore['seconds'])}  "
-        f"mean={mean_micros(restore['mean_seconds'])}  "
-        f"bytes={restore['bytes']}",
+        f"mean={mean_micros(restore['mean_seconds'])}",
         f"  snapshot phase total={seconds(accounting['snapshot_phase_seconds'])}  "
         f"accounted={seconds(accounting['accounted_seconds'])}"
         + (f"  ({fraction:.1%})" if fraction is not None else ""),

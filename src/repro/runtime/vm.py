@@ -26,6 +26,10 @@ from repro.runtime.errors import ScheduleError
 from repro.runtime.task import Task, TaskState
 from repro.statespace.canonical import canonicalize
 
+#: ``TaskState.READY``, bound once: an enum member lookup through the
+#: class costs more than the rest of a step's enabled-set test.
+_READY = TaskState.READY
+
 
 class VirtualMachine(ProgramInstance):
     """A live execution of a multithreaded program."""
@@ -93,7 +97,7 @@ class VirtualMachine(ProgramInstance):
 
     def is_enabled(self, tid: int) -> bool:
         task = self._tasks[tid]
-        if task.state is not TaskState.READY or task.pending is None:
+        if task.state is not _READY or task.pending is None:
             return False
         return task.pending.enabled(self, task)
 
@@ -111,9 +115,9 @@ class VirtualMachine(ProgramInstance):
         return task.pending.is_yielding(self, task)
 
     def has_live_threads(self) -> bool:
-        return any(t.state is TaskState.READY for t in self._tasks.values())
+        return any(t.state is _READY for t in self._tasks.values())
 
-    def step(self, tid: int) -> StepInfo:
+    def step(self, tid: int, record: bool = True) -> Optional[StepInfo]:
         """Execute one transition of thread ``tid``.
 
         The transition is: execute the pending operation, then run the task
@@ -124,6 +128,10 @@ class VirtualMachine(ProgramInstance):
         ``enabled_before`` is the cached ES, which also says whether ``tid``
         may run; ``enabled_after`` evaluates each task's predicate once and
         becomes the next state's cached ES.
+
+        With ``record=False`` (:meth:`fast_forward`) the step returns None
+        and skips what only the :class:`StepInfo` needs: the yield test and
+        the operation's description.
         """
         task = self._tasks.get(tid)
         if task is None:
@@ -137,8 +145,9 @@ class VirtualMachine(ProgramInstance):
                 f"{task.pending.describe() if task.pending else 'nothing'})"
             )
         op = task.pending
-        yielded = op.is_yielding(self, task)
-        op_desc = op.describe()
+        if record:
+            yielded = op.is_yielding(self, task)
+            op_desc = op.describe()
         self._spawned_this_step = spawned = []
         self._enabled_cache = None
         try:
@@ -146,12 +155,13 @@ class VirtualMachine(ProgramInstance):
         finally:
             self._enabled_cache = None
             self.step_count += 1
-        ready = TaskState.READY
         enabled_after = self._enabled_cache = frozenset([
             t.tid for t in self._tasks.values()
-            if t.state is ready and t.pending is not None
-            and t.pending.enabled(self, t)
+            if t.state is _READY and (pending := t.pending) is not None
+            and pending.enabled(self, t)
         ])
+        if not record:
+            return None
         return StepInfo(tid, enabled_before, enabled_after, yielded,
                         tuple(spawned), op_desc)
 
@@ -169,7 +179,8 @@ class VirtualMachine(ProgramInstance):
         carry the value the prefix's ``choose()`` calls returned and are
         fed back in recorded order through a temporary data-choice
         handler.  ``per_step`` (engine-supplied) runs after each
-        transition, before the VM-local monitors.
+        transition, before the VM-local monitors.  Each transition is a
+        ``step(tid, record=False)``: the engine records nothing here.
 
         Returns the number of transitions executed.  Raises whatever the
         replayed prefix raises — a clean prefix replays cleanly, so any
@@ -192,18 +203,22 @@ class VirtualMachine(ProgramInstance):
 
         saved_handler = self.data_choice_handler
         self.data_choice_handler = feed
+        step = self.step
+        monitored = (per_step is not None or self.monitors
+                     or self.temporal_monitors)
         executed = 0
         try:
             for decision in decisions:
                 if decision.kind != "thread":
                     continue
-                self.step(decision.chosen)
-                if per_step is not None:
-                    per_step(self)
-                for monitor in self.monitors:
-                    monitor()
-                for temporal in self.temporal_monitors:
-                    temporal.observe()
+                step(decision.chosen, record=False)
+                if monitored:
+                    if per_step is not None:
+                        per_step(self)
+                    for monitor in self.monitors:
+                        monitor()
+                    for temporal in self.temporal_monitors:
+                        temporal.observe()
                 executed += 1
         finally:
             self.data_choice_handler = saved_handler

@@ -63,6 +63,60 @@ class TestCheck:
             main(["check", "repro.workloads.dining:_HUNGRY"])
 
 
+class TestCountValidation:
+    """A non-positive count is a usage error (exit 2), never reported
+    with the exit code of a found bug."""
+
+    DINING = ["check", "repro.workloads.dining:dining_philosophers",
+              "-a", "2", "--depth-bound", "200"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--snapshot-interval", "0"],
+        ["--snapshot-cache", "--snapshot-interval", "0"],
+        ["--no-snapshot-cache", "--snapshot-interval", "-2"],
+        ["--workers", "0"],
+        ["--workers", "-1"],
+    ])
+    def test_non_positive_count_exits_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.DINING + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flags[-2]}" in err
+        assert "must be a positive integer" in err
+
+    def test_profile_snapshots_rejects_zero_interval(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "snapshots", "--snapshot-interval", "0"])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_checker_rejects_non_positive_counts(self):
+        from repro.checker import Checker
+        from repro.workloads.dining import dining_philosophers
+
+        for kwargs in ({"snapshot_interval": 0},
+                       {"snapshot_interval": 0, "snapshot_cache": False},
+                       {"workers": 0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                Checker(dining_philosophers(2), **kwargs)
+
+    def test_snapshot_cache_is_on_by_default(self, tmp_path, capsys):
+        import json
+
+        counts = {}
+        for flag in ([], ["--no-snapshot-cache"]):
+            path = tmp_path / f"m{len(flag)}.json"
+            assert main(self.DINING + flag + [
+                "--snapshot-interval", "4", "--metrics-json", str(path)]) == 0
+            counters = json.loads(path.read_text())["counters"]
+            counts[bool(flag)] = counters
+        assert counts[False]["snapshot.hits"] > 0
+        assert "snapshot.hits" not in counts[True]
+        for key in ("executions", "transitions"):
+            assert counts[False][key] == counts[True][key]
+
+
 class TestReproRoundTrip:
     def test_save_and_replay(self, tmp_path, capsys):
         repro_file = str(tmp_path / "bug.json")

@@ -2,19 +2,24 @@
 
 The prefix-snapshot cache is a pure performance optimization — for every
 strategy and every snapshot interval, a cached search must report exactly
-the totals, decisions, verdicts and coverage of an uncached one.  These
-tests run the same checker configuration twice (cache off, cache on) and
-compare everything observable.
+the totals, decisions, verdicts, coverage and kept reports (schedules,
+traces, divergence classifications) of an uncached one.  These tests run
+the same checker configuration twice (cache off, cache on) and compare
+everything observable.
 """
 
 import pytest
 
 from repro.chaos.faults import FaultPlan, FaultRule, fault_plan
 from repro.checker import Checker
+from repro.engine.strategies import STRATEGIES as STRATEGY_TABLE
 from repro.obs import Observer
 from repro.runtime.native import NativeMutex, NativeProgram, NativeSharedVar
 from repro.workloads.boundedbuffer import bounded_buffer_program
-from repro.workloads.dining import dining_philosophers
+from repro.workloads.dining import (
+    dining_philosophers,
+    dining_philosophers_livelock,
+)
 from repro.workloads.wsq import work_stealing_queue
 
 STRATEGIES = ["dfs", "bfs", "por", "icb", "random"]
@@ -45,31 +50,48 @@ def native_counter_program():
     return NativeProgram(setup, name="native-counter-diff")
 
 
-def _run(program_factory, *, snapshot_cache, snapshot_interval=16,
-         strategy="dfs", coverage=False, **kwargs):
+def _report(record):
+    """What a kept record shows a user: its schedule, its trace and, for
+    a divergence, the classification."""
+    divergence = record.divergence
+    return (
+        record.outcome,
+        tuple(d.index for d in record.decisions),
+        record.steps,
+        record.trace,
+        None if divergence is None else (
+            divergence.kind, divergence.culprits, divergence.window),
+        str(record.violation),
+    )
+
+
+def _run(program_factory, *, strategy="dfs", coverage=False, **kwargs):
+    """Run one search; ``kwargs`` go to the :class:`Checker`, the
+    snapshot settings included (omitted: the defaults)."""
     observer = Observer()
     checker = Checker(
         program_factory(),
         strategy=strategy,
         observer=observer,
         collect_coverage=coverage,
-        snapshot_cache=snapshot_cache,
-        snapshot_interval=snapshot_interval,
         stop_on_first_violation=False,
         stop_on_first_divergence=False,
         **kwargs,
     )
     result = checker.run()
     metrics = observer.metrics
+    exploration = result.exploration
     fingerprint = {
         "ok": result.ok,
-        "executions": result.exploration.executions,
-        "transitions": result.exploration.transitions,
-        "violations": sorted(
-            v.schedule for v in result.exploration.violations),
-        "deadlocks": sorted(
-            d.schedule for d in result.exploration.deadlocks),
-        "divergences": len(result.exploration.divergences),
+        "executions": exploration.executions,
+        "transitions": exploration.transitions,
+        "violations": sorted(v.schedule for v in exploration.violations),
+        "deadlocks": sorted(d.schedule for d in exploration.deadlocks),
+        "divergences": len(exploration.divergences),
+        "reports": [_report(record) for kept in (
+            exploration.violations, exploration.deadlocks,
+            exploration.divergences, exploration.crashes)
+            for record in kept],
         "states.new": metrics.counter("states.new").value,
         "states.revisited": metrics.counter("states.revisited").value,
     }
@@ -96,6 +118,53 @@ class TestStrategyIntervalMatrix:
             # capture point, which is fine — full replay is the
             # documented fallback.)
             assert metrics.counter("snapshot.hits").value > 0
+
+
+class TestDefaultConfiguration:
+    """A checker given no snapshot argument runs with the cache on: it
+    must equal ``snapshot_cache=False`` for every strategy, hit in the
+    guided ones, and never look up in DPOR or random walk."""
+
+    @pytest.mark.parametrize("strategy", list(STRATEGY_TABLE))
+    def test_default_equals_cache_off(self, strategy):
+        kwargs = dict(depth_bound=200, max_executions=120)
+        if strategy == "bfs":
+            # BFS runs guides longer than the default interval only deep
+            # in the tree: search the whole of a narrower one.
+            kwargs = dict(depth_bound=200, preemption_bound=0)
+        if strategy == "random":
+            kwargs["random_executions"] = 30
+        make = lambda: bounded_buffer_program(items=2, consumers=1)  # noqa: E731
+        baseline, _ = _run(make, strategy=strategy, snapshot_cache=False,
+                           **kwargs)
+        default, metrics = _run(make, strategy=strategy, **kwargs)
+        assert default == baseline
+        hits = metrics.counter("snapshot.hits").value
+        lookups = hits + metrics.counter("snapshot.misses").value
+        if strategy in ("dpor", "random"):
+            assert lookups == 0
+        else:
+            assert hits > 0
+
+
+class TestLivelockReport:
+    """Fig 1's livelock at the perfbench depth: the cached search must
+    report the same divergences with the same traces, so the restored
+    trace tail is part of the comparison."""
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_identical_livelock_reports(self, interval):
+        kwargs = dict(depth_bound=400, max_executions=40,
+                      snapshot_interval=interval)
+        baseline, _ = _run(lambda: dining_philosophers_livelock(2),
+                           snapshot_cache=False, **kwargs)
+        cached, metrics = _run(lambda: dining_philosophers_livelock(2),
+                               snapshot_cache=True, **kwargs)
+        assert cached == baseline
+        kinds = {report[4][0].value for report in baseline["reports"]}
+        assert "livelock" in kinds
+        assert all(len(report[3]) > 0 for report in baseline["reports"])
+        assert metrics.counter("snapshot.hits").value > 0
 
 
 class TestWorkloadDifferentials:
