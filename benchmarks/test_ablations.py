@@ -18,7 +18,7 @@ from repro.core.policies import fair_policy, nonfair_policy, round_robin_policy
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig
 from repro.engine.strategies import ExplorationLimits, explore_dfs
-from repro.statespace.stateful import stateful_state_count
+from repro.statespace.stateful import stateful_search
 from repro.workloads.dining import dining_philosophers
 from repro.workloads.spinloop import spinloop
 
@@ -41,8 +41,8 @@ def coverage_with_policy(program_factory, policy_factory, *,
 class TestKYieldAblation:
     def test_k_parameter(self, benchmark, report):
         def run():
-            truth = stateful_state_count(dining_philosophers(2),
-                                         depth_bound=400).count
+            truth = stateful_search(dining_philosophers(2),
+                                    depth_bound=400).count
             rows = []
             for k in (1, 2, 3):
                 states, executions, capped = coverage_with_policy(
@@ -143,8 +143,8 @@ class TestPreemptionAccountingAblation:
 class TestRoundRobinAblation:
     def test_round_robin_is_fair_but_useless(self, benchmark, report):
         def run():
-            truth = stateful_state_count(dining_philosophers(2),
-                                         depth_bound=400).count
+            truth = stateful_search(dining_philosophers(2),
+                                    depth_bound=400).count
             rows = []
             results = {}
             for name, factory in [("fair demonic", fair_policy()),

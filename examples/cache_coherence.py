@@ -10,15 +10,18 @@ requests.  This example checks a snooping MSI protocol:
    value-coherence invariants hold on every explored state);
 2. a "polite" upgrade variant — writers that back off when they see a
    concurrent write intent — livelocks, found by the fair scheduler;
-3. the same livelock is found *statically*: the fair cycles of the
-   extracted state graph (`find_livelock_candidates`) are exactly the
-   livelock witnesses of Theorem 6.
+3. the same livelock is found *statically*: the stateful search records
+   the state graph, and its fair strongly connected component (`fair_sccs`)
+   is a set of states on which every enabled thread keeps being
+   scheduled — where the fair infinite executions live.  Fair elementary
+   cycles (Theorem 6's witnesses) are only some of those executions: a
+   fair run may loop through several cycles, none of them fair alone.
 
 Run:  python examples/cache_coherence.py
 """
 
 from repro import Checker
-from repro.statespace import find_livelock_candidates
+from repro.statespace import fair_sccs, stateful_search
 from repro.workloads.coherence import coherence_program
 
 WRITERS = [[("w", 10)], [("w", 20)]]
@@ -39,18 +42,20 @@ def main():
     print(f"verdict: {result.livelock.divergence}")
 
     print("\n=== the same defect, statically ===")
-    candidates = find_livelock_candidates(
+    graph = stateful_search(
         coherence_program(WRITERS, bug="upgrade-livelock"),
         depth_bound=300,
-    )
-    shortest = min(candidates, key=len)
-    print(f"{len(candidates)} fair cycles in the state graph; "
-          f"shortest has {len(shortest)} transitions:")
-    print("  " + " -> ".join(tid for _, tid in shortest))
+    ).graph
+    (component,) = fair_sccs(graph)
+    scheduled = sorted({tid for state in component
+                        for tid, successor, _ in graph.successors(state)
+                        if successor in component})
+    print(f"{graph.state_count} states; one fair SCC of {len(component)} "
+          f"states, scheduling {', '.join(scheduled)} forever")
 
-    clean = find_livelock_candidates(coherence_program(WRITERS),
-                                     depth_bound=300)
-    print(f"\ncorrect protocol's graph has {len(clean)} fair cycles — "
+    clean = fair_sccs(stateful_search(coherence_program(WRITERS),
+                                      depth_bound=300).graph)
+    print(f"\ncorrect protocol's graph has {len(clean)} fair SCCs — "
           f"fair-terminating, as the checker concluded dynamically.")
     assert not clean
 

@@ -26,7 +26,7 @@ from repro.engine.executor import ExecutorConfig, RandomChooser, run_execution
 from repro.engine.results import ExplorationResult, Outcome
 from repro.engine.strategies import ExplorationLimits, explore_dfs
 from repro.obs.metrics import MetricsRegistry
-from repro.statespace.stateful import stateful_state_count
+from repro.statespace.stateful import stateful_search
 
 
 def _registry(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
@@ -148,7 +148,7 @@ def measure_coverage(
     registry = _registry(metrics)
     preemption_bound = _strategy_bound(strategy)
     if total_states is None:
-        truth = stateful_state_count(
+        truth = stateful_search(
             program_factory(), preemption_bound=preemption_bound,
             depth_bound=divergence_bound,
         )
@@ -206,7 +206,7 @@ def table2_rows(
     rows: List[List[object]] = []
     for strategy in strategies:
         preemption_bound = _strategy_bound(strategy)
-        truth = stateful_state_count(
+        truth = stateful_search(
             program_factory(), preemption_bound=preemption_bound,
             depth_bound=divergence_bound,
         )

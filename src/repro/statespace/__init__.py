@@ -2,9 +2,11 @@
 
 The checker proper is stateless; this subpackage exists for the parts of
 the paper that reason *about* state spaces — the "Total States" columns of
-Table 2 (a stateful search storing signatures in a hash table), the
-fair/unfair cycle definitions behind Theorems 4–6, heap canonicalization,
-and the random finite-state programs used by the property-based tests.
+Table 2 (a stateful search storing signatures in a hash table, which also
+records the state graph), the liveness outcomes decided on that graph
+(fair and good-samaritan-violating SCCs), the fair/unfair cycle
+definitions behind Theorems 4–6, heap canonicalization, and the random
+finite-state programs used by the property-based tests.
 """
 
 from repro.statespace.adapter import (
@@ -14,11 +16,10 @@ from repro.statespace.adapter import (
 from repro.statespace.canonical import canonicalize, signature_hash
 from repro.statespace.cycles import (
     StateGraph,
-    build_state_graph,
     cycle_yield_count,
     enumerate_cycles,
-    find_fair_cycles,
-    has_fair_cycle,
+    fair_sccs,
+    good_samaritan_sccs,
     is_fair_cycle,
 )
 from repro.statespace.random_programs import (
@@ -26,18 +27,7 @@ from repro.statespace.random_programs import (
     random_partitioned_system,
     random_system,
 )
-from repro.statespace.signature_graph import (
-    SignatureGraph,
-    build_signature_graph,
-    find_livelock_candidates,
-)
-from repro.statespace.stateful import (
-    GroundTruth,
-    StatefulSearchResult,
-    reachable_states,
-    stateful_search,
-    stateful_state_count,
-)
+from repro.statespace.stateful import GroundTruth, stateful_search
 from repro.statespace.transition_system import (
     ThreadSpec,
     TransitionSystem,
@@ -47,29 +37,22 @@ from repro.statespace.transition_system import (
 
 __all__ = [
     "GroundTruth",
-    "SignatureGraph",
     "StateGraph",
-    "StatefulSearchResult",
-    "build_signature_graph",
-    "find_livelock_candidates",
     "ThreadSpec",
     "TransitionSystem",
     "TransitionSystemInstance",
     "TransitionSystemProgram",
-    "build_state_graph",
     "canonicalize",
     "cycle_yield_count",
     "enumerate_cycles",
+    "fair_sccs",
     "figure3_system",
-    "find_fair_cycles",
-    "has_fair_cycle",
+    "good_samaritan_sccs",
     "is_fair_cycle",
     "pc_program",
     "random_good_samaritan_system",
     "random_partitioned_system",
     "random_system",
-    "reachable_states",
     "signature_hash",
     "stateful_search",
-    "stateful_state_count",
 ]

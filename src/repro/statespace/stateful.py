@@ -1,17 +1,17 @@
-"""Stateful searches: ground truth for the coverage experiments.
+"""Stateful search: the ground truth and the state graph.
 
 Table 2's "Total States" column comes from "a stateful search of the state
-space [storing] the state signatures in a hash table".  Two flavors here:
-
-* :func:`reachable_states` — plain graph search over an explicit
-  :class:`~repro.statespace.transition_system.TransitionSystem`.
-* :func:`stateful_state_count` — replay-based DFS with visited-state
-  pruning over *any* :class:`~repro.core.model.Program` (including VM
-  programs), optionally under a context bound.  Pruning only fires past
-  the guided prefix of each replay, which keeps the enumeration sound;
-  with a preemption bound the visited key includes the scheduling context
-  (last thread, yield flag, remaining budget) because reachability under
-  a context bound is path-dependent.
+space [storing] the state signatures in a hash table".
+:func:`stateful_search` is that search: a replay-based DFS with
+visited-state pruning over any :class:`~repro.core.model.Program` or
+explicit :class:`~repro.statespace.transition_system.TransitionSystem`,
+optionally under a context bound.  It records the
+:class:`~repro.statespace.cycles.StateGraph` it walks, on which
+:mod:`repro.statespace.cycles` answers the liveness questions.  Pruning
+only fires past the guided prefix of each replay, which keeps the
+enumeration sound; with a preemption bound the visited key includes the
+scheduling context (last thread, yield flag, remaining budget) because
+reachability under a context bound is path-dependent.
 
 Stateful pruning requires a *memoryless* policy (the nonfair scheduler):
 with the fair policy the future depends on Algorithm 1's auxiliary state,
@@ -20,28 +20,17 @@ so pruning on the program state alone would be unsound.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Optional, Set
+from typing import FrozenSet, Hashable, Optional, Set, Union
 
 from repro.core.model import Program
-from repro.core.policies import NonfairPolicy, nonfair_policy
+from repro.core.policies import NonfairPolicy
 from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
 from repro.engine.results import Outcome
 from repro.engine.strategies.base import next_dfs_guide
+from repro.statespace.adapter import TransitionSystemProgram
+from repro.statespace.cycles import StateGraph
 from repro.statespace.transition_system import TransitionSystem
-
-
-@dataclass
-class StatefulSearchResult:
-    states: FrozenSet[Hashable]
-    executions: int
-    transitions: int
-    complete: bool
-
-    @property
-    def count(self) -> int:
-        return len(self.states)
 
 
 @dataclass
@@ -60,49 +49,42 @@ class GroundTruth:
     violation_messages: FrozenSet[str]
     executions: int
     transitions: int
+    #: False when a depth bound or ``max_executions`` cut the walk.
     complete: bool
+    #: The graph over precise signatures that the walk traversed.
+    graph: StateGraph
 
     @property
     def count(self) -> int:
         return len(self.states)
 
 
-def reachable_states(
-    system: TransitionSystem,
-    *,
-    max_states: int = 1_000_000,
-) -> FrozenSet[Hashable]:
-    """All reachable states of an explicit system (BFS on the graph)."""
-    seen: Set[Hashable] = {system.initial}
-    frontier = deque([system.initial])
-    while frontier:
-        state = frontier.popleft()
-        for tid in system.enabled_threads(state):
-            successor = system.next_state(state, tid)
-            if successor not in seen:
-                if len(seen) >= max_states:
-                    raise RuntimeError(
-                        f"state space exceeds max_states={max_states}"
-                    )
-                seen.add(successor)
-                frontier.append(successor)
-    return frozenset(seen)
+def _thread_label(instance, tid) -> Hashable:
+    """A thread's name where the runtime names its tasks, else its id."""
+    task = getattr(instance, "task", None)
+    return task(tid).name if task is not None else tid
 
 
 def stateful_search(
-    program: Program,
+    program: Union[Program, TransitionSystem],
     *,
     preemption_bound: Optional[int] = None,
     depth_bound: Optional[int] = None,
     max_executions: Optional[int] = None,
 ) -> GroundTruth:
-    """Stateful enumeration with full verdict bookkeeping.
+    """Enumerate the reachable states with full verdict bookkeeping.
 
-    Same walk as :func:`stateful_state_count`, additionally collecting
-    the terminal/deadlock state signatures and the distinct violation
-    messages — everything the coverage oracle compares a stateless
-    search against.
+    Collects the state signatures, the terminal and deadlock state
+    signatures, the distinct violation messages — everything the coverage
+    oracle compares a stateless search against — and the state graph.
+
+    The program must expose a *precise* signature (two states with equal
+    signatures must have identical future behavior), as the paper's
+    manually instrumented examples do.
     """
+    if isinstance(program, TransitionSystem):
+        program = TransitionSystemProgram(program)
+    graph = StateGraph()
     states: Set[Hashable] = set()
     terminal: Set[Hashable] = set()
     deadlocked: Set[Hashable] = set()
@@ -114,27 +96,44 @@ def stateful_search(
         depth_bound=depth_bound,
         on_depth_exceeded="prune",
         preemption_bound=preemption_bound,
-        keep_instance=True,
     )
 
     guide: Optional[list] = []
     complete = True
+    # The latest state's user signature and graph node in this execution.
+    latest_signature: Hashable = None
+    latest_node: Hashable = None
     while guide is not None:
         guide_len = len(guide)
 
         def pruner(instance, point) -> bool:
-            states.add(instance.state_signature())
+            nonlocal latest_signature, latest_node
+            signature = instance.state_signature()
+            states.add(signature)
             # Prune on the *precise* signature: the user abstraction may
             # identify states that differ in pending operations (e.g. a
             # task's implicit start transition), and pruning on it would
-            # cut live branches.
+            # cut live branches.  It is the graph's node for the same
+            # reason: aliased states would create artifact self-loops.
             precise = getattr(instance, "precise_signature", None)
-            signature = precise() if precise is not None else instance.state_signature()
+            node = precise() if precise is not None else signature
+            if node not in graph.enabled:
+                graph.enabled[node] = frozenset(
+                    _thread_label(instance, tid)
+                    for tid in instance.enabled_threads())
+                graph.edges[node] = set()
+            if point.steps:
+                graph.edges[latest_node].add((
+                    _thread_label(instance, point.last_tid), node,
+                    point.last_was_yield))
+            else:
+                graph.initial = node
+            latest_signature, latest_node = signature, node
             if preemption_bound is not None:
                 budget = preemption_bound - point.preemptions
-                key = (signature, point.last_tid, point.last_was_yield, budget)
+                key = (node, point.last_tid, point.last_was_yield, budget)
             else:
-                key = signature
+                key = node
             if point.decisions < guide_len:
                 # Strictly inside the guided prefix: record, never prune
                 # (the replay must reach its frontier).  The state *after*
@@ -158,12 +157,14 @@ def stateful_search(
         executions += 1
         transitions += record.steps
         if record.outcome in (Outcome.TERMINATED, Outcome.DEADLOCK):
-            signature = record.final_instance.state_signature()
-            terminal.add(signature)
+            # The pruner saw the terminal state last.
+            terminal.add(latest_signature)
             if record.outcome is Outcome.DEADLOCK:
-                deadlocked.add(signature)
+                deadlocked.add(latest_signature)
         elif record.outcome is Outcome.VIOLATION:
             violations.add(str(record.violation))
+        elif record.outcome is Outcome.DEPTH_PRUNED:
+            complete = False
         if max_executions is not None and executions >= max_executions:
             complete = False
             break
@@ -177,31 +178,5 @@ def stateful_search(
         executions=executions,
         transitions=transitions,
         complete=complete,
-    )
-
-
-def stateful_state_count(
-    program: Program,
-    *,
-    preemption_bound: Optional[int] = None,
-    depth_bound: Optional[int] = None,
-    max_executions: Optional[int] = None,
-) -> StatefulSearchResult:
-    """Enumerate reachable state signatures of a replayable program.
-
-    The program must expose a *precise* ``state_signature`` (two states
-    with equal signatures must have identical future behavior), as the
-    paper's manually instrumented examples do.
-    """
-    truth = stateful_search(
-        program,
-        preemption_bound=preemption_bound,
-        depth_bound=depth_bound,
-        max_executions=max_executions,
-    )
-    return StatefulSearchResult(
-        states=truth.states,
-        executions=truth.executions,
-        transitions=truth.transitions,
-        complete=truth.complete,
+        graph=graph,
     )

@@ -1,8 +1,9 @@
 """The checker imports and runs without networkx.
 
-networkx serves only the state-space analysis helpers (cycle enumeration)
-and the test suite, so ``import repro``, a ``Checker`` run and a CLI check
-must all work on an interpreter where it cannot be imported.  Each case
+networkx serves only elementary-cycle enumeration (``enumerate_cycles``)
+and the test suite, so ``import repro``, a ``Checker`` run, a CLI check and
+the static liveness analysis must all work on an interpreter where it
+cannot be imported.  Each case
 runs in a fresh subprocess, where ``sys.modules['networkx'] = None`` makes
 every ``import networkx`` fail.
 """
@@ -54,3 +55,15 @@ def test_cli_check_passes_without_networkx():
     """))
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "PASS" in proc.stdout
+
+
+def test_static_liveness_analysis_without_networkx():
+    proc = run_python(HIDE_NETWORKX + textwrap.dedent("""
+        from repro.statespace import (
+            fair_sccs, good_samaritan_sccs, stateful_search)
+        from repro.workloads.dining import dining_philosophers_livelock
+        graph = stateful_search(dining_philosophers_livelock(2)).graph
+        assert fair_sccs(graph), 'the Figure 1 livelock has a fair SCC'
+        assert good_samaritan_sccs(graph) == {}
+    """))
+    assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from repro.engine.strategies import (
     explore_dfs,
 )
 from repro.statespace.adapter import TransitionSystemProgram
-from repro.statespace.stateful import reachable_states
+from repro.statespace.stateful import stateful_search
 from repro.statespace.transition_system import TransitionSystem, pc_program
 
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -82,14 +82,14 @@ class TestDFSCompleteness:
 
     @SETTINGS
     @given(seed=st.integers(0, 5_000))
-    def test_coverage_matches_reachable_states(self, seed):
+    def test_coverage_matches_stateful(self, seed):
         system = acyclic_system(seed)
         if count_maximal_executions(system) > 20_000:
             return
         coverage = CoverageTracker()
         explore_dfs(TransitionSystemProgram(system), nonfair_policy(),
                     ExecutorConfig(), LIMITS, coverage=coverage)
-        assert coverage.signatures() == reachable_states(system)
+        assert coverage.signatures() == stateful_search(system).states
 
 
 class TestBFSAgreement:

@@ -7,6 +7,10 @@ guarantees are checked against them:
 * Theorem 1 — every infinite execution generated satisfies ``GS ⇒ SF``:
   on long executions produced by the fair scheduler, if every scheduled
   thread keeps yielding in the suffix, no enabled thread is starved.
+* Theorem 2 — with no reachable infinite ``GS ⇒ SF`` run (no fair SCC and
+  no good-samaritan SCC in the state graph), fair DFS terminates without
+  a divergence; and every divergence verdict it does report lies on the
+  SCC that explains it.
 * Theorem 3 — the priority relation stays acyclic, so ``T = ∅ ⇔ ES = ∅``
   (no false deadlocks).
 * Theorem 5 — the fair search visits every reachable state of yield
@@ -17,8 +21,10 @@ guarantees are checked against them:
 
 import random as random_module
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.checker import Checker
 from repro.core.policies import FairPolicy, fair_policy
 from repro.engine.classify import classify_divergence
 from repro.engine.coverage import CoverageTracker
@@ -32,15 +38,24 @@ from repro.engine.results import DivergenceKind, Outcome
 from repro.engine.strategies import ExplorationLimits, explore_dfs
 from repro.statespace.adapter import TransitionSystemProgram
 from repro.statespace.cycles import (
-    build_state_graph,
     cycle_yield_count,
     enumerate_cycles,
+    fair_sccs,
+    good_samaritan_sccs,
     is_fair_cycle,
 )
 from repro.statespace.random_programs import (
     random_good_samaritan_system,
     random_system,
 )
+from repro.statespace.stateful import stateful_search
+from repro.workloads.coherence import coherence_program
+from repro.workloads.dining import (
+    dining_philosophers,
+    dining_philosophers_livelock,
+)
+from repro.workloads.promise import promise_program
+from repro.workloads.spinloop import spinloop, spinloop_no_yield
 
 SETTINGS = settings(
     max_examples=25,
@@ -49,7 +64,7 @@ SETTINGS = settings(
 )
 
 
-def yield_free_reachable_states(system):
+def yield_free_states(system):
     """States reachable via executions of yield count zero: BFS using
     only non-yielding transitions."""
     from collections import deque
@@ -114,6 +129,117 @@ class TestTheorem1:
         )
 
 
+#: Four random-program settings for the liveness oracle: arbitrary
+#: programs (which livelock, deadlock and spin freely) and good-samaritan
+#: ones, each with two and three threads.
+GENERATORS = {
+    "random": random_system,
+    "random-3": lambda seed: random_system(seed, n_threads=3, n_pcs=2,
+                                           yield_prob=0.5),
+    "gs": random_good_samaritan_system,
+    "gs-3": lambda seed: random_good_samaritan_system(seed, n_threads=3,
+                                                      n_pcs=2),
+}
+
+
+def complete_graph(system):
+    truth = stateful_search(system)
+    assert truth.complete
+    return truth.graph
+
+
+def fair_dfs(system):
+    """Fair DFS at depth 300, to the end or the first divergence."""
+    return explore_dfs(
+        TransitionSystemProgram(system), fair_policy(),
+        ExecutorConfig(depth_bound=300),
+        ExplorationLimits(stop_on_first_violation=False),
+    )
+
+
+def window_states(system, record):
+    """The states in the window the classifier judged: the schedule is
+    replayed, because the last step of a window may leave the SCC."""
+    states = [system.initial]
+    for decision in record.decisions:
+        states.append(system.next_state(states[-1], decision.chosen))
+    return set(states[-record.divergence.window - 1:])
+
+
+class TestTheorem2:
+    @SETTINGS
+    @given(seed=st.integers(0, 10_000),
+           setting=st.sampled_from(["random", "gs"]))
+    def test_no_fair_or_gs_scc_means_termination(self, seed, setting):
+        """With neither a fair SCC nor a good-samaritan SCC, no infinite
+        run satisfies ``GS ⇒ SF``: fair DFS must finish, divergence-free."""
+        system = GENERATORS[setting](seed)
+        graph = complete_graph(system)
+        if fair_sccs(graph) or good_samaritan_sccs(graph):
+            return  # an infinite GS ⇒ SF run exists; nothing to check
+        result = fair_dfs(system)
+        assert result.complete and not result.divergences, (
+            f"{system.name} has no fair or good-samaritan SCC, but fair "
+            f"DFS reported {result.divergences[:1]}"
+        )
+
+    @SETTINGS
+    @given(seed=st.integers(0, 10_000),
+           setting=st.sampled_from(sorted(GENERATORS)))
+    def test_verdicts_lie_on_their_sccs(self, seed, setting):
+        """Every LIVELOCK window meets a fair SCC; every good-samaritan
+        window meets a good-samaritan SCC of one of its culprits."""
+        system = GENERATORS[setting](seed)
+        graph = complete_graph(system)
+        fair = frozenset().union(*fair_sccs(graph))
+        spinning = good_samaritan_sccs(graph)
+        for record in fair_dfs(system).divergences:
+            report = record.divergence
+            window = window_states(system, record)
+            if report.kind is DivergenceKind.LIVELOCK:
+                assert window & fair, (
+                    f"{system.name}: livelock verdict off every fair SCC")
+            elif report.kind is DivergenceKind.GOOD_SAMARITAN_VIOLATION:
+                assert any(window & component
+                           for culprit in report.culprits
+                           for component in spinning.get(culprit, ())), (
+                    f"{system.name}: {report} off its culprits' SCCs")
+
+
+def static_verdict(program):
+    graph = complete_graph(program)
+    if fair_sccs(graph):
+        return DivergenceKind.LIVELOCK
+    if good_samaritan_sccs(graph):
+        return DivergenceKind.GOOD_SAMARITAN_VIOLATION
+    return None
+
+
+WRITERS = [[("w", 10)], [("w", 20)]]
+
+
+class TestStaticVerdictOnPaperWorkloads:
+    """The SCC verdict equals the fair checker's on the paper's
+    workloads.  dining(3) is left out: its fair DFS alone runs for
+    minutes."""
+
+    @pytest.mark.parametrize("factory", [
+        lambda: dining_philosophers(2),
+        lambda: dining_philosophers_livelock(2),
+        lambda: promise_program(1, stale_read_bug=True),
+        spinloop,
+        spinloop_no_yield,
+        lambda: coherence_program(WRITERS),
+        lambda: coherence_program(WRITERS, bug="upgrade-livelock"),
+    ], ids=["dining2", "dining-livelock2", "promise-stale-read", "spinloop",
+            "spinloop-no-yield", "msi", "msi-upgrade-livelock"])
+    def test_static_equals_dynamic(self, factory):
+        result = Checker(factory(), depth_bound=300).run()
+        dynamic = (result.divergence.divergence.kind
+                   if result.divergence is not None else None)
+        assert static_verdict(factory()) == dynamic
+
+
 class TestTheorem3:
     @SETTINGS
     @given(seed=st.integers(0, 10_000), walk=st.integers(0, 50))
@@ -169,7 +295,7 @@ class TestTheorem5:
             # infinite execution (or we ran out of budget) — no coverage
             # obligation.
             return
-        expected = yield_free_reachable_states(system)
+        expected = yield_free_states(system)
         missing = expected - coverage.signatures()
         assert not missing, (
             f"yield-count-zero states missed by the fair search on "
@@ -183,14 +309,14 @@ class TestTheorem6:
     def test_reachable_fair_cycle_forces_divergence(self, seed):
         system = random_system(seed, n_threads=2, n_pcs=2, domain=2,
                                yield_prob=0.4)
-        graph = build_state_graph(system, max_states=5_000)
-        yield_free = yield_free_reachable_states(system)
+        graph = stateful_search(system).graph
+        yield_free = yield_free_states(system)
         qualifying = [
             cycle
             for cycle in enumerate_cycles(graph, limit=500)
             if cycle[0][0] in yield_free
-            and is_fair_cycle(system, cycle)
-            and cycle_yield_count(system, cycle) <= 1
+            and is_fair_cycle(graph, cycle)
+            and cycle_yield_count(graph, cycle) <= 1
         ]
         if not qualifying:
             return  # precondition not met; nothing to check

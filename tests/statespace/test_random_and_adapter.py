@@ -12,7 +12,7 @@ from repro.statespace.random_programs import (
     random_good_samaritan_system,
     random_system,
 )
-from repro.statespace.stateful import reachable_states
+from repro.statespace.stateful import stateful_search
 from repro.statespace.transition_system import figure3_system
 
 
@@ -20,10 +20,10 @@ class TestRandomPrograms:
     def test_same_seed_same_system(self):
         a = random_system(7)
         b = random_system(7)
-        assert reachable_states(a) == reachable_states(b)
+        assert stateful_search(a).states == stateful_search(b).states
 
     def test_different_seeds_usually_differ(self):
-        spaces = {frozenset(reachable_states(random_system(seed)))
+        spaces = {stateful_search(random_system(seed)).states
                   for seed in range(12)}
         assert len(spaces) > 3
 

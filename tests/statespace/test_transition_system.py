@@ -89,11 +89,9 @@ class TestFigure3:
     def test_state_space_matches_paper(self):
         """The diagram of Figure 3: five states (a,c) (a,d) (b,c) (b,d)
         (b,e), a cycle between (a,c) and (a,d)."""
-        from repro.statespace.stateful import reachable_states
+        from repro.statespace.stateful import stateful_search
 
-        system = figure3_system()
-        states = reachable_states(system)
-        assert len(states) == 5
+        assert stateful_search(figure3_system()).count == 5
 
     def test_only_u_transition_from_ad_is_yield(self):
         system = figure3_system()

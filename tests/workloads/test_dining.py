@@ -6,7 +6,7 @@ from repro.engine.executor import ExecutorConfig
 from repro.engine.results import DivergenceKind, Outcome
 from repro.engine.strategies import ExplorationLimits, explore_dfs
 from repro.core.policies import fair_policy
-from repro.statespace.stateful import stateful_state_count
+from repro.statespace.stateful import stateful_search
 from repro.workloads.dining import (
     dining_philosophers,
     dining_philosophers_livelock,
@@ -52,7 +52,7 @@ class TestHarnessedVariant:
 
     def test_full_state_coverage(self):
         """Table 2: fairness achieves 100% state coverage."""
-        truth = stateful_state_count(dining_philosophers(2), depth_bound=300)
+        truth = stateful_search(dining_philosophers(2), depth_bound=300)
         coverage = CoverageTracker()
         explore_dfs(
             dining_philosophers(2), fair_policy(),
