@@ -24,6 +24,20 @@ partial order reduction", POPL 2014) on top of the stateless engine:
 * sleep sets still ride along every execution, so a branch whose entire
   schedulable set is asleep stops immediately (``VISITED_PRUNED``).
 
+The analysis costs what each execution adds, not its length squared.
+Every step touching a resource depends on every other such step, so
+those steps form a happens-before chain, as do the steps of unknown
+footprint.  A step's immediate predecessors are thus among its thread's
+previous step, the last step on each resource of its footprint and the
+last step of unknown footprint (for an unknown footprint, the last step
+of each thread): its clock is their join, and its races are those of
+other threads no other candidate's clock covers.  An execution replays
+all but the last stack node from the previous one verbatim, so the
+clocks of that prefix are kept (recomputed once after a resume), only
+races whose later step lies past it are detected (one inside it was
+detected when its later step first ran), and the reducer hook skips
+sleep-set settling on it.
+
 Fairness composition: backtrack points are chosen among what the
 *policy* deems schedulable at the insertion node, never the raw enabled
 set.  A thread the fair scheduler blocks (its priority is lower and it
@@ -57,6 +71,7 @@ strategies.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import Program
@@ -107,12 +122,19 @@ class DporRun(SleepSets):
 
     The option filter forces the current stack's choices and then the
     wakeup tail (a list of thread ids), falling back to the first awake
-    schedulable thread; ``dones[k]`` — the siblings already explored at
-    stack node ``k`` — join the sleep set entering that node, like
+    schedulable thread; ``done`` — the siblings already explored at a
+    stack node — joins the sleep set entering that node, like
     ``available[:index]`` in the sleep-set walk.  The step observer
-    records every step's footprint, schedulable, enabled and sleep sets,
-    and :meth:`finish` the operations still pending at the end: the
-    per-step metadata the race analysis reads.
+    records every step's thread, footprint and enabled set, a new stack
+    node for every step past the stack, and :meth:`finish` the
+    operations still pending at the end: the per-step metadata the race
+    analysis reads.
+
+    Every stack node but the last replays the previous execution
+    verbatim (:attr:`replayed` steps); there the filter only records,
+    because their sleep sets were settled when they first ran.  With
+    ``replayed`` at 0 it settles them again, and the analysis redoes the
+    whole trace.
 
     Recorded decisions index the full sorted schedulable set, so a DPOR
     record replays through the ordinary guided replay; the guide this
@@ -124,20 +146,20 @@ class DporRun(SleepSets):
                  on_final_state: Optional[Callable] = None) -> None:
         super().__init__()
         self._stack = stack
-        self._forced = [node["choice"] for node in stack] + list(tail)
-        self._dones = [node["done"] for node in stack]
+        self._tail = list(tail)
         self._observer = observer
         self._on_final_state = on_final_state
         self._index = 0
+        #: Steps replayed verbatim from the previous execution.
+        self.replayed = max(len(stack) - 1, 0)
         self.tids: List = []
         self.resources: List[Resources] = []
-        #: Sorted policy-schedulable set at each step (fairness-filtered).
-        self.schedulables: List[list] = []
         #: Raw enabled set at each step — distinguishes a race partner the
         #: fair policy blocked from one the program itself disabled.
         self.enableds: List[frozenset] = []
-        #: Sleep set *entering* each step (inherited ∪ done siblings).
-        self.sleeps: List[Set] = []
+        #: The stack node of each step past the stack: its choice, the
+        #: sleep set entering it and its sorted policy-schedulable set.
+        self.nodes: List[dict] = []
         #: ``(tid, resources)`` of threads still alive at the end of the
         #: execution — blocked at a deadlock/terminal state, or cut short
         #: by a violation.  Their pending operations never executed, so
@@ -152,48 +174,62 @@ class DporRun(SleepSets):
                      for node in self._stack)
 
     def filter(self, instance, options: List, enabled) -> List:
-        self._instance = instance
-        if self._step is not None:
-            self._settle()
         k = len(self.tids)
-        sleep = self.sleep
-        forced = self._forced
-        tid = forced[k] if k < len(forced) else None
-        if k < len(self._dones):
-            done = self._dones[k]
-            if done:
-                sleep = sleep.union(done)
+        stack = self._stack
+        if k < len(stack):
+            # A stack node replays the exact path that produced it; the
+            # chosen thread must still be schedulable there.
+            tid = stack[k]["choice"]
             if tid not in options:
-                # A stack node replays the exact path that produced it;
-                # the chosen thread must still be schedulable there.
                 raise ValueError("dpor replay diverged from its stack")
-        elif tid is not None and tid not in options:
-            # Wakeup tail made infeasible by the policy (fairness
-            # priorities shifted): abandon the rest of the forced suffix
-            # and fall back to the default extension.
-            del forced[k:]
-            tid = None
-            if self._observer is not None:
-                self._observer.dpor_wakeup_abandoned()
-        if tid is None:
-            for tid in options:
-                if tid not in sleep:
-                    break
+        if k < self.replayed:
+            # Replayed verbatim: these steps' sleep sets were settled
+            # when they first ran, so only the analysis inputs are kept.
+            executed = footprint(instance, tid)
+        else:
+            self._instance = instance
+            if self._step is not None:
+                self._settle()
+            elif k < len(stack):
+                # The first step past the replayed prefix: its stack
+                # node stores the sleep set it inherits.
+                self.sleep = set(stack[k]["inherited"])
+            sleep = self.sleep
+            if k < len(stack):
+                sleep = sleep.union(stack[k]["done"])
             else:
-                # Everything schedulable is asleep: this branch only
-                # permutes independent transitions of an explored
-                # execution.  Its *blocked pending* operations are new
-                # information though (see :meth:`finish`).
-                if self._observer is not None:
-                    self._observer.dpor_sleep_blocked()
-                return []
-        executed = footprint(instance, tid)
-        self._step = (tid, executed, sleep)
+                tail, pos = self._tail, k - len(stack)
+                tid = tail[pos] if pos < len(tail) else None
+                if tid is not None and tid not in options:
+                    # Wakeup tail made infeasible by the policy (fairness
+                    # priorities shifted): abandon the rest of the forced
+                    # suffix and fall back to the default extension.
+                    del tail[pos:]
+                    tid = None
+                    if self._observer is not None:
+                        self._observer.dpor_wakeup_abandoned()
+                if tid is None:
+                    for tid in options:
+                        if tid not in sleep:
+                            break
+                    else:
+                        # Everything schedulable is asleep: this branch
+                        # only permutes independent transitions of an
+                        # explored execution.  Its *blocked pending*
+                        # operations are new information though (see
+                        # :meth:`finish`).
+                        if self._observer is not None:
+                            self._observer.dpor_sleep_blocked()
+                        return []
+                self.nodes.append({"choice": tid,
+                                   "inherited": sorted_options(sleep),
+                                   "done": [], "wakeups": [],
+                                   "schedulable": options})
+            executed = footprint(instance, tid)
+            self._step = (tid, executed, sleep)
         self.tids.append(tid)
         self.resources.append(executed)
-        self.schedulables.append(options)
         self.enableds.append(enabled)
-        self.sleeps.append(sleep)
         self._index = options.index(tid)
         return options
 
@@ -228,55 +264,98 @@ class DporRun(SleepSets):
 # ----------------------------------------------------------------------
 # happens-before / race analysis
 # ----------------------------------------------------------------------
-def _vector_clocks(tids: Sequence, resources: Sequence[Resources]) -> List[Dict]:
+class _LastSteps:
+    """The last step of each thread, on each resource and of unknown
+    footprint, in a forward pass over the first ``stop`` steps."""
+
+    __slots__ = ("thread", "resource", "unknown")
+
+    def __init__(self, tids: Sequence, resources: Sequence[Resources],
+                 stop: int) -> None:
+        self.thread: Dict = {}
+        self.resource: Dict = {}
+        self.unknown: Optional[int] = None
+        for k in range(stop):
+            self.add(k, tids[k], resources[k])
+
+    def add(self, k: int, tid, res: Resources) -> None:
+        self.thread[tid] = k
+        if res is None:
+            self.unknown = k
+        else:
+            for r in res:
+                self.resource[r] = k
+
+    def candidates(self, tid, res: Resources) -> Set[int]:
+        """The steps that can immediately precede, in happens-before, a
+        next step of ``tid`` with footprint ``res``."""
+        if res is None:
+            return set(self.thread.values())
+        last = self.resource
+        found = {last[r] for r in res if r in last}
+        if self.unknown is not None:
+            found.add(self.unknown)
+        if tid in self.thread:
+            found.add(self.thread[tid])
+        return found
+
+
+def _adjacent(tids: Sequence, clocks: Sequence[Dict], candidates: Set[int],
+              tid) -> List[int]:
+    """The candidates of threads other than ``tid`` that no other
+    candidate's clock covers — the happens-before-adjacent dependent
+    predecessors of the step — latest first."""
+    found: List[int] = []
+    for i in sorted(candidates, reverse=True):
+        t = tids[i]
+        if t == tid:
+            continue
+        for k in candidates:
+            if k != i and clocks[k].get(t, -1) >= i:
+                break
+        else:
+            found.append(i)
+    return found
+
+
+def _vector_clocks(tids: Sequence, resources: Sequence[Resources],
+                   clocks: Optional[List[Dict]] = None) -> List[Dict]:
     """clocks[j][t] = last step index of thread ``t`` happening before
-    (or equal to) step ``j``; -1/absent when none does."""
-    clocks: List[Dict] = []
-    last_of_thread: Dict = {}
-    for j, tid in enumerate(tids):
-        clock: Dict = {}
-        prev = last_of_thread.get(tid)
-        if prev is not None:  # program order
-            clock.update(clocks[prev])
-        for i in range(j - 1, -1, -1):
-            if tids[i] == tid:
-                continue
-            if clock.get(tids[i], -1) >= i:
-                continue  # already ordered transitively
-            if dependent(resources[i], resources[j]):
-                for t, v in clocks[i].items():
-                    if clock.get(t, -1) < v:
-                        clock[t] = v
-                if clock.get(tids[i], -1) < i:
-                    clock[tids[i]] = i
-        clock[tid] = j
-        clocks.append(clock)
-        last_of_thread[tid] = j
+    (or equal to) step ``j``; -1/absent when none does.
+
+    ``clocks``, the clocks of a prefix of the trace, is extended in place.
+    """
+    clocks = [] if clocks is None else clocks
+    _races(tids, resources, clocks, len(tids))
     return clocks
 
 
 def _races(tids: Sequence, resources: Sequence[Resources],
-           clocks: Sequence[Dict]) -> List[Tuple[int, int]]:
-    """Happens-before-adjacent dependent pairs of different threads.
+           clocks: List[Dict], start: int = 0) -> List[Tuple[int, int]]:
+    """Happens-before-adjacent dependent pairs ``(i, j)`` of different
+    threads with ``j >= start``, by ``j`` and then latest ``i`` first.
 
-    Scanning predecessors of ``j`` from nearest to farthest, a ``covered``
-    clock accumulates everything reachable through an already-visited
-    predecessor; a dependent pair only races when ``i`` reaches ``j``
-    *directly*, not through an intermediate step.
+    ``clocks`` holds the clocks of a prefix of the trace; the clocks of
+    the steps after it are computed on the way and appended.
     """
     races: List[Tuple[int, int]] = []
-    for j in range(len(tids)):
-        covered: Dict = {}
-        for i in range(j - 1, -1, -1):
-            if clocks[j].get(tids[i], -1) < i:
-                continue  # concurrent with j: no edge to reverse
-            if covered.get(tids[i], -1) >= i:
-                continue  # reaches j only through a later step
-            if tids[i] != tids[j] and dependent(resources[i], resources[j]):
+    first = min(start, len(clocks))
+    last = _LastSteps(tids, resources, first)
+    for j in range(first, len(tids)):
+        tid, res = tids[j], resources[j]
+        candidates = last.candidates(tid, res)
+        if j == len(clocks):
+            clock: Dict = {}
+            for k in candidates:
+                for t, v in clocks[k].items():
+                    if clock.get(t, -1) < v:
+                        clock[t] = v
+            clock[tid] = j
+            clocks.append(clock)
+        if j >= start:
+            for i in _adjacent(tids, clocks, candidates, tid):
                 races.append((i, j))
-            for t, v in clocks[i].items():
-                if covered.get(t, -1) < v:
-                    covered[t] = v
+        last.add(j, tid, res)
     return races
 
 
@@ -308,61 +387,20 @@ def _wakeup_sequence(i: int, j: int, tids: Sequence,
     return idxs, initials
 
 
-def _pending_clock(tids: Sequence, resources: Sequence[Resources],
-                   clocks: Sequence[Dict], u, res_u: Resources) -> Dict:
-    """Vector clock of thread ``u``'s never-executed pending transition:
-    program-order after all of ``u``'s executed steps, dependence-after
-    every executed step that touches its footprint."""
-    clock: Dict = {}
-    last = None
-    for k in range(len(tids) - 1, -1, -1):
-        if tids[k] == u:
-            last = k
-            break
-    if last is not None:
-        clock.update(clocks[last])
-    for i in range(len(tids) - 1, -1, -1):
-        if tids[i] == u:
-            continue
-        if clock.get(tids[i], -1) >= i:
-            continue
-        if dependent(resources[i], res_u):
-            for t, v in clocks[i].items():
-                if clock.get(t, -1) < v:
-                    clock[t] = v
-            if clock.get(tids[i], -1) < i:
-                clock[tids[i]] = i
-    if last is not None:
-        clock[u] = last
-    return clock
-
-
 def _pending_races(tids: Sequence, resources: Sequence[Resources],
                    clocks: Sequence[Dict], u, res_u: Resources) -> List[int]:
     """hb-adjacent executed race partners of the pending transition,
     latest first — :func:`_races` for a virtual final step of ``u``.
 
-    The covered-scan matters: a step hidden behind one of ``u``'s own
+    The cover test matters: a step hidden behind one of ``u``'s own
     executed steps (or any other hb-intermediate) is not adjacent, and
     reversing against it directly would schedule the *wrong* transition
     of ``u`` — the surviving partners have none of ``u``'s steps
     happening after them, so the wakeup sequence ``notdep(i)`` carries
     every executed step of ``u`` and the forced run re-arms exactly the
     pending operation."""
-    jclock = _pending_clock(tids, resources, clocks, u, res_u)
-    partners: List[int] = []
-    covered: Dict = {}
-    for i in range(len(tids) - 1, -1, -1):
-        if jclock.get(tids[i], -1) < i:
-            continue  # concurrent with the pending op
-        if covered.get(tids[i], -1) >= i:
-            continue  # reaches it only through a later step
-        if tids[i] != u and dependent(resources[i], res_u):
-            partners.append(i)
-        for t, v in clocks[i].items():
-            if covered.get(t, -1) < v:
-                covered[t] = v
-    return partners
+    last = _LastSteps(tids, resources, len(tids))
+    return _adjacent(tids, clocks, last.candidates(u, res_u), u)
 
 
 class DporStrategy(SearchStrategy):
@@ -428,6 +466,8 @@ class DporStrategy(SearchStrategy):
         self.tail: List = []
         self.exhausted = False
         self._last_run: Optional[DporRun] = None
+        #: Vector clocks of the last execution's steps.
+        self._clocks: List[Dict] = []
 
     def strategy_label(self) -> str:
         return "source-dpor"
@@ -456,24 +496,23 @@ class DporStrategy(SearchStrategy):
         if meta is None:
             self.exhausted = True
             return
+        timers = self.observer.timers if self.observer is not None else None
+        t0 = perf_counter() if timers is not None else 0.0
         del self.stack[len(meta.tids):]  # defensive; replay covers stack
-        for k in range(len(self.stack), len(meta.tids)):
-            self.stack.append({
-                "choice": meta.tids[k],
-                "inherited": sorted_options(meta.sleeps[k]),
-                "done": [],
-                "wakeups": [],
-                "schedulable": list(meta.schedulables[k]),
-            })
+        self.stack.extend(meta.nodes)
         self._insert_backtracks(meta)
         self._backtrack()
+        if timers is not None:
+            timers.add("analysis", perf_counter() - t0)
 
     def _insert_backtracks(self, meta: DporRun) -> None:
         tids, resources = meta.tids, meta.resources
-        if not tids:
-            return
-        clocks = _vector_clocks(tids, resources)
-        for i, j in _races(tids, resources, clocks):
+        # The replayed prefix keeps the clocks of the previous analysis
+        # (none after a resume) and holds no race not detected already.
+        start = min(meta.replayed, len(tids))
+        clocks = self._clocks
+        del clocks[start:]
+        for i, j in _races(tids, resources, clocks, start):
             if self.observer is not None:
                 self.observer.dpor_race_detected()
             self._reverse(meta, clocks, i, tids[j], resources[j],
@@ -548,14 +587,11 @@ class DporStrategy(SearchStrategy):
                       initials: List) -> str:
         node = self.stack[i]
         wi = set(initials)
-        if wi & meta.sleeps[i]:
-            # Some reordering with the same first step was already
-            # explored from this node — the reversal is redundant.
-            if self.observer is not None:
-                self.observer.dpor_wakeup_pruned()
-            return "pruned"
-        heads = {w[0] for w in node["wakeups"]}
-        if wi & (set(node["done"]) | heads | {meta.tids[i]}):
+        if (node["choice"] in wi or not wi.isdisjoint(node["inherited"])
+                or not wi.isdisjoint(node["done"])
+                or any(w[0] in wi for w in node["wakeups"])):
+            # Some reordering with the same first step is asleep here,
+            # explored or queued — the reversal is redundant.
             if self.observer is not None:
                 self.observer.dpor_wakeup_pruned()
             return "pruned"
@@ -617,6 +653,7 @@ class DporStrategy(SearchStrategy):
         ]
         self.tail = list(state.get("tail", []))
         self.exhausted = bool(state.get("exhausted", False))
+        self._clocks = []
 
 
 def explore_source_dpor(

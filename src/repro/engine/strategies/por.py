@@ -72,7 +72,10 @@ def dependent(res_a: Resources, res_b: Resources) -> bool:
     """Dependence of two transitions of *different* threads by footprint."""
     if res_a is None or res_b is None:
         return True
-    return bool(set(res_a) & set(res_b))
+    for r in res_a:
+        if r in res_b:
+            return True
+    return False
 
 
 def reducer_config(strategy: str, config: Optional[ExecutorConfig],

@@ -262,7 +262,12 @@ class Observer:
             ))
 
     def dpor_race_detected(self) -> None:
-        """Source-DPOR found a reversible race in the last execution."""
+        """Source-DPOR found a reversible race in the last execution.
+
+        Each race counts once, in the execution where its later step
+        first runs: a race inside the prefix an execution replays was
+        counted when it was new.
+        """
         self.metrics.counter("dpor.races_detected").inc()
 
     def dpor_sleep_blocked(self) -> None:

@@ -1,6 +1,7 @@
 """Phase timers: split exploration wall time into engine phases.
 
-The executor inner loop has six distinguishable costs:
+The executor inner loop has six distinguishable costs, and the search
+around it a seventh:
 
 * ``policy`` — computing the schedulable set ``T`` from ``ES``
   (Algorithm 1's bookkeeping lives here);
@@ -9,7 +10,9 @@ The executor inner loop has six distinguishable costs:
 * ``hash`` — state-signature computation for coverage tracking;
 * ``classify`` — divergence classification at the depth bound;
 * ``snapshot`` — prefix-snapshot capture and restore
-  (docs/performance.md).
+  (docs/performance.md);
+* ``analysis`` — a strategy's own work between executions: source-DPOR's
+  race analysis and backtracking, one sample per execution.
 
 Timers use :func:`time.perf_counter` pairs added manually at the call
 sites (a context manager per transition would dominate the measurement);
@@ -24,7 +27,7 @@ from typing import Dict, Iterator, Tuple
 
 #: Canonical phase order for reports.
 PHASES: Tuple[str, ...] = ("policy", "schedule", "execute", "hash",
-                           "classify", "snapshot")
+                           "classify", "snapshot", "analysis")
 
 
 class PhaseTimers:

@@ -3,14 +3,19 @@
 The coverage *oracle* tests (test_dpor_coverage.py) prove the reduction
 sound; this file exercises the machinery around it: race counters,
 checkpoint round-trips, replayability of its records, the declined
-snapshot cache, and the explicit-transition-system resource path.
+snapshot cache, the explicit-transition-system resource path, and the
+incremental analysis against a full re-analysis of every execution.
 """
+
+import pytest
 
 from repro.checker import Checker
 from repro.core.policies import fair_policy, nonfair_policy
+from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
-from repro.engine.strategies import DporStrategy, ExplorationLimits
+from repro.engine.strategies import DfsStrategy, DporStrategy, ExplorationLimits
 from repro.engine.strategies.dpor import (
+    DporRun,
     _races,
     _vector_clocks,
     _wakeup_sequence,
@@ -21,6 +26,8 @@ from repro.statespace import TransitionSystemProgram, random_partitioned_system
 from repro.sync.atomics import SharedVar
 from repro.sync.mutex import Mutex
 from repro.workloads.dining import dining_philosophers
+
+from tests.engine.test_dpor_coverage import independent_program
 
 LIMITS = ExplorationLimits(stop_on_first_violation=False,
                            stop_on_first_divergence=False)
@@ -227,3 +234,126 @@ class TestExplicitSystems:
             if dpor.exploration.executions < dfs.exploration.executions:
                 reduced = True
         assert reduced
+
+
+class FullAnalysisRun(DporRun):
+    """A run that replays no prefix: it settles every sleep set, and the
+    analysis recomputes every clock and re-detects every race."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.replayed = 0
+
+
+def explored(program, policy_factory, depth_bound):
+    """Every execution's outcome, decision indices and steps, and the
+    search's metrics."""
+    executions = []
+    observer = Observer()
+    DporStrategy(program, policy_factory, depth_bound=depth_bound,
+                 limits=LIMITS, observer=observer,
+                 listener=lambda r: executions.append(
+                     (r.outcome, [d.index for d in r.decisions], r.steps)),
+                 ).explore()
+    return executions, observer.metrics
+
+
+def explored_whole(monkeypatch, *args):
+    """:func:`explored`, re-analysing every execution whole."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.engine.strategies.dpor.DporRun",
+                      FullAnalysisRun)
+        return explored(*args)
+
+
+INCREMENTAL_CASES = [
+    ("dining(3) nonfair d20", lambda: dining_philosophers(3), nonfair_policy, 20),
+    ("dining(3) nonfair d30", lambda: dining_philosophers(3), nonfair_policy, 30),
+    ("dining(2) fair d300", lambda: dining_philosophers(2), fair_policy, 300),
+    ("abba", abba_program, fair_policy, 300),
+    ("independent(3)", lambda: independent_program(3), fair_policy, 300),
+] + [
+    (f"partitioned({seed})",
+     lambda seed=seed: TransitionSystemProgram(random_partitioned_system(seed)),
+     nonfair_policy, 200)
+    for seed in range(5)
+]
+
+
+class TestIncrementalAnalysis:
+    """Keeping the replayed prefix's clocks and sleep sets, and detecting
+    only the races past it, explores exactly what re-analysing every
+    execution whole explores."""
+
+    @pytest.mark.parametrize("case", INCREMENTAL_CASES, ids=lambda c: c[0])
+    def test_explores_like_full_analysis(self, case, monkeypatch):
+        _name, make, policy_factory, depth = case
+        incremental, _ = explored(make(), policy_factory(), depth)
+        full, _ = explored_whole(monkeypatch, make(), policy_factory(), depth)
+        assert len(incremental) > 1
+        assert incremental == full
+
+    def test_each_race_counts_once(self, monkeypatch):
+        # A race inside the replayed prefix was detected, and acted on,
+        # when its later step first ran; the full analysis re-detects it
+        # and prunes its wakeup again.  Nothing else moves.
+        program = dining_philosophers(3)
+        _, metrics = explored(program, nonfair_policy(), 20)
+        _, full = explored_whole(monkeypatch, program, nonfair_policy(), 20)
+        counts = {name: (metrics.counter(name).value, full.counter(name).value)
+                  for name in ("dpor.races_detected", "dpor.wakeup_pruned",
+                               "backtracks", "dpor.lock_handovers",
+                               "dpor.sleep_blocked")}
+        assert counts == {
+            "dpor.races_detected": (755, 1_578),
+            "dpor.wakeup_pruned": (445, 1_268),
+            "backtracks": (310, 310),
+            "dpor.lock_handovers": (60, 60),
+            "dpor.sleep_blocked": (64, 64),
+        }
+
+    def test_sliced_search_counts_the_races_of_a_direct_one(self, tmp_path):
+        # Every slice resumes with no clocks and still detects only the
+        # races past the replayed prefix, so the slices add up to the
+        # direct run's count.
+        def run(**options):
+            checker = Checker(dining_philosophers(2), strategy="dpor",
+                              fairness=False, depth_bound=300,
+                              handle_signals=False, observer=Observer(),
+                              **options)
+            resume = options.get("checkpoint_path") if slices else None
+            result = checker.run(resume_from=resume)
+            return result, checker.observer.metrics.counter(
+                "dpor.races_detected").value
+
+        slices = 0
+        direct, direct_races = run()
+        total = 0
+        while True:
+            sliced, races = run(max_executions=3 * (slices + 1),
+                                checkpoint_path=str(tmp_path / "s.ckpt"),
+                                checkpoint_interval=3)
+            total += races
+            slices += 1
+            if sliced.exploration.stop_reason != "max-executions":
+                break
+        assert slices > 2
+        assert sliced.exploration.executions == direct.exploration.executions
+        assert total == direct_races > 0
+
+
+class TestAnalysisPhase:
+    def test_one_analysis_sample_per_execution(self):
+        observer = Observer()
+        result = DporStrategy(dining_philosophers(2), nonfair_policy(),
+                              depth_bound=300, limits=LIMITS,
+                              observer=observer).explore()
+        assert observer.timers.counts["analysis"] == result.executions > 1
+        assert observer.timers.seconds("analysis") > 0
+
+    def test_dfs_times_no_analysis(self):
+        observer = Observer()
+        DfsStrategy(dining_philosophers(2), fair_policy(),
+                    ExecutorConfig(depth_bound=300), LIMITS,
+                    observer=observer).explore()
+        assert "analysis" not in observer.timers.counts
