@@ -8,12 +8,13 @@ and transitions are enforced inside :func:`hotpath_replay`, which raises
 on any mismatch — and records both runs' replay counters in
 ``BENCH_hotpath.json`` at the repo root.  Two rows are gated:
 
-* the bounded buffer at interval 4, many short executions:
+* the bounded buffer at spacing 4, many short executions:
   ``executions.replayed_steps`` must drop by at least 2× (the step win);
 * the prefix-heavy row, Fig 1's livelock (``dining_philosophers_livelock(2)``)
-  at depth 400 and the default interval: fair DFS runs every execution
-  to the depth bound, so nearly all of its transitions replay a guided
-  prefix, as in the fair-livelock anchor test.
+  at depth 400 with captures at least 16 transitions apart: fair DFS
+  runs every execution to the depth bound, so nearly all of its
+  transitions replay a guided prefix, as in the fair-livelock anchor
+  test.
 
 On both rows cache-on must strictly beat cache-off in **wall-clock
 seconds**.  The gate compares two runs on the *same* machine in the same
@@ -45,7 +46,7 @@ def test_hotpath_replay(benchmark, report, scale):
             hotpath_replay(
                 lambda: dining_philosophers_livelock(2),
                 depth_bound=400, preemption_bound=None,
-                snapshot_interval=16,  # the default
+                snapshot_interval=16,  # captures >= 16 transitions apart
                 max_executions=200,
             ),
         ]

@@ -170,7 +170,7 @@ class Checker:
         workers: int = 1,
         shard_target: Optional[int] = None,
         snapshot_cache: bool = True,
-        snapshot_interval: int = 16,
+        snapshot_interval: int = ExecutorConfig.snapshot_interval,
         heartbeat_interval: float = 0.5,
         wedge_timeout: Optional[float] = 30.0,
     ) -> None:

@@ -208,10 +208,13 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                                   "prefixes (VM and native-thread "
                                   "programs; dfs, bfs, por and icb)")
     performance.add_argument("--snapshot-interval", type=_positive_int,
-                             default=16, metavar="N",
-                             help="snapshot every N transitions along an "
-                                  "execution (smaller = less re-execution, "
-                                  "more memory)")
+                             default=ExecutorConfig.snapshot_interval,
+                             metavar="N",
+                             help="snapshot branch points at least N "
+                                  "transitions apart along an execution "
+                                  "(default %(default)s: every branch "
+                                  "point; larger = fewer snapshots, more "
+                                  "re-execution)")
     parallel = parser.add_argument_group(
         "parallel", "sharded multi-process search (docs/parallel.md)")
     parallel.add_argument("--workers", type=_positive_int, default=1,

@@ -20,7 +20,7 @@ Scheduling ``t`` removes all edges with sink ``t``.
 Initialization matches the paper exactly: ``E(u) = ∅`` and
 ``D(u) = S(u) = Tid``, which guarantees the *first* yield of any thread adds
 no edges.  We represent the ``D = S = Tid`` phase with a closed-window flag
-(``_window_open[u] = False``); this also generalizes soundly to dynamic
+(``window_open(u)`` is False); this also generalizes soundly to dynamic
 thread creation (threads created mid-execution start with a closed window,
 exactly the paper's convention applied at creation time).
 
@@ -31,7 +31,7 @@ representation: callers feed it the observations of each transition
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 from repro.core.model import StepInfo
 from repro.core.priority import PriorityRelation
@@ -44,17 +44,20 @@ _EMPTY: FrozenSet = frozenset()
 class FairSchedulerState:
     """Mutable state of Algorithm 1 for one execution.
 
-    The per-thread window sets ``E``/``D``/``S`` are stored as immutable
-    frozensets replaced copy-on-write: an update that changes nothing
-    costs a set comparison, an update that changes something rebinds one
-    dict slot to a fresh frozenset.  That layout makes
-    :meth:`snapshot_state` a handful of shallow dict copies whose values
-    are *shared* between the live state and every snapshot — the
-    structural sharing behind the engine's O(changed) prefix-snapshot
-    capture (docs/performance.md).
+    Each thread owns a slot, its index in the per-thread lists of the
+    window sets ``E``/``D``/``S`` and the window flags.  The window sets
+    are immutable frozensets replaced copy-on-write: an update that
+    changes nothing costs a set comparison, an update that changes
+    something rebinds one list slot to a fresh frozenset.  The slot map
+    itself is replaced, never mutated, when a thread registers.  That
+    layout makes :meth:`snapshot_state` one flat tuple whose values are
+    *shared* between the live state and every snapshot — the structural
+    sharing behind the engine's O(threads) prefix-snapshot capture
+    (docs/performance.md).
     """
 
-    __slots__ = ("priority", "_E", "_D", "_S", "_window_open", "_check_acyclic")
+    __slots__ = ("priority", "_slot", "_E", "_D", "_S", "_window_open",
+                 "_check_acyclic")
 
     def __init__(
         self,
@@ -63,10 +66,11 @@ class FairSchedulerState:
         check_acyclic: bool = False,
     ) -> None:
         self.priority = PriorityRelation()
-        self._E: Dict[Tid, FrozenSet[Tid]] = {}
-        self._D: Dict[Tid, FrozenSet[Tid]] = {}
-        self._S: Dict[Tid, FrozenSet[Tid]] = {}
-        self._window_open: Dict[Tid, bool] = {}
+        self._slot: Dict[Tid, int] = {}
+        self._E: List[FrozenSet[Tid]] = []
+        self._D: List[FrozenSet[Tid]] = []
+        self._S: List[FrozenSet[Tid]] = []
+        self._window_open: List[bool] = []
         self._check_acyclic = check_acyclic
         for t in threads:
             self.register_thread(t)
@@ -74,17 +78,18 @@ class FairSchedulerState:
     # ------------------------------------------------------------------
     def register_thread(self, t: Tid) -> None:
         """Install the paper's initial values for a (possibly new) thread."""
-        if t in self._window_open:
+        if t in self._slot:
             return
-        self._E[t] = _EMPTY
-        self._D[t] = _EMPTY
-        self._S[t] = _EMPTY
+        self._slot = {**self._slot, t: len(self._slot)}
+        self._E.append(_EMPTY)
+        self._D.append(_EMPTY)
+        self._S.append(_EMPTY)
         # Closed window encodes D(t) = S(t) = Tid: the first yield of t
         # opens the window and adds no priority edges.
-        self._window_open[t] = False
+        self._window_open.append(False)
 
     def known_threads(self) -> FrozenSet[Tid]:
-        return frozenset(self._window_open)
+        return frozenset(self._slot)
 
     # ------------------------------------------------------------------
     def schedulable(self, enabled: FrozenSet[Tid]) -> FrozenSet[Tid]:
@@ -95,106 +100,108 @@ class FairSchedulerState:
     def observe_step(self, info: StepInfo) -> None:
         """Lines 13–29 of Algorithm 1, applied after executing ``info.tid``."""
         t = info.tid
-        if t not in self._window_open:  # defensive: auto-register strangers
+        if t not in self._slot:  # defensive: auto-register strangers
             self.register_thread(t)
         for spawned in info.spawned:
             self.register_thread(spawned)
+        i = self._slot[t]
 
         # Line 13: next.P := curr.P \ (Tid × {t}) — drop edges with sink t.
         self.priority.remove_sink(t)
 
         enabled_after = info.enabled_after
+        E, D, S, window_open = self._E, self._D, self._S, self._window_open
 
         # Lines 14–22: update E, D, S for every thread's open window.
         # Copy-on-write: a window set is replaced only when it actually
         # changes, so unchanged frozensets keep being shared with any
         # snapshots that captured them.
-        for u, is_open in self._window_open.items():
+        for u, is_open in enumerate(window_open):
             if not is_open:
                 continue  # closed window: E stays ∅, D = S = Tid implicitly
-            E = self._E[u]
-            if not E <= enabled_after:
-                self._E[u] = E & enabled_after
-            S = self._S[u]
-            if t not in S:
-                self._S[u] = S | {t}
-        if self._window_open.get(t):
+            E_u = E[u]
+            if not E_u <= enabled_after:
+                E[u] = E_u & enabled_after
+            S_u = S[u]
+            if t not in S_u:
+                S[u] = S_u | {t}
+        if window_open[i]:
             disabled_now = info.enabled_before - enabled_after
-            if disabled_now and not disabled_now <= self._D[t]:
-                self._D[t] = self._D[t] | disabled_now
+            if disabled_now and not disabled_now <= D[i]:
+                D[i] = D[i] | disabled_now
 
         # Lines 23–29: yielding transition ends t's window.
         if info.yielded:
-            if self._window_open[t]:
+            if window_open[i]:
                 # H = (E(t) ∪ D(t)) \ S(t).  Note t ∈ S(t) (line 21 above),
                 # so t never deprioritizes itself and P stays acyclic
                 # together with the sink-removal at line 13 (Theorem 3).
-                blame = (self._E[t] | self._D[t]) - self._S[t]
+                blame = (E[i] | D[i]) - S[i]
                 self.priority.add_edges(t, blame)
                 if self._check_acyclic and not self.priority.is_acyclic():
                     raise AssertionError(
                         "priority relation became cyclic — Theorem 3 broken"
                     )
             else:
-                self._window_open[t] = True
-            self._E[t] = frozenset(enabled_after)
-            self._D[t] = _EMPTY
-            self._S[t] = _EMPTY
+                window_open[i] = True
+            E[i] = frozenset(enabled_after)
+            D[i] = _EMPTY
+            S[i] = _EMPTY
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and the Figure 4 emulation harness).
     # ------------------------------------------------------------------
     def window_open(self, t: Tid) -> bool:
-        return self._window_open.get(t, False)
+        i = self._slot.get(t)
+        return i is not None and self._window_open[i]
 
     def continuously_enabled(self, t: Tid) -> FrozenSet[Tid]:
         """``E(t)`` (empty while the window is closed, as in the paper)."""
-        return self._E.get(t, _EMPTY)
+        i = self._slot.get(t)
+        return _EMPTY if i is None else self._E[i]
 
     def disabled_by(self, t: Tid) -> FrozenSet[Tid]:
         """``D(t)``; ``Tid`` (all known threads) while the window is closed."""
-        if not self._window_open.get(t, False):
+        if not self.window_open(t):
             return self.known_threads()
-        return self._D[t]
+        return self._D[self._slot[t]]
 
     def scheduled_since_yield(self, t: Tid) -> FrozenSet[Tid]:
         """``S(t)``; ``Tid`` while the window is closed."""
-        if not self._window_open.get(t, False):
+        if not self.window_open(t):
             return self.known_threads()
-        return self._S[t]
+        return self._S[self._slot[t]]
 
     # ------------------------------------------------------------------
     # Persistent-snapshot protocol (docs/performance.md)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Tuple:
-        """Capture (P, E, D, S, windows) with structural sharing.
+        """Capture (P, E, D, S, windows) as one flat tuple.
 
-        Five shallow dict copies; every value is an immutable frozenset
-        (or bool) shared with the live state.  Cost is O(threads), not
-        O(total set contents), and consecutive snapshots share all
-        unchanged per-thread entries.
+        The tuple is ``(P, slots, E..., D..., S..., windows...)``: the
+        priority relation's own snapshot, the shared slot map, then each
+        per-thread list in slot order.  Every value is immutable and
+        shared with the live state, so a capture is O(threads), copies
+        no set contents, and keeps one object where a dict per
+        predicate would keep five.
         """
-        return (
-            self.priority.snapshot_state(),
-            dict(self._E),
-            dict(self._D),
-            dict(self._S),
-            dict(self._window_open),
-        )
+        return (self.priority.snapshot_state(), self._slot, *self._E,
+                *self._D, *self._S, *self._window_open)
 
     def restore_state(self, state: Tuple) -> None:
         """Adopt a :meth:`snapshot_state` value — O(threads), like capture.
 
-        The snapshot's dicts are copied (so the restored state can keep
+        The per-thread lists are rebuilt (so the restored state can keep
         mutating copy-on-write without touching the cached entry); the
-        frozenset values are shared, never copied.
+        frozenset values and the slot map are shared, never copied.
         """
-        priority_state, E, D, S, window_open = state
-        self.priority.restore_state(priority_state)
-        self._E = dict(E)
-        self._D = dict(D)
-        self._S = dict(S)
-        self._window_open = dict(window_open)
+        self.priority.restore_state(state[0])
+        self._slot = slot = state[1]
+        n = len(slot)
+        self._E = list(state[2:2 + n])
+        self._D = list(state[2 + n:2 + 2 * n])
+        self._S = list(state[2 + 2 * n:2 + 3 * n])
+        self._window_open = list(state[2 + 3 * n:])
 
     def snapshot(self) -> Dict[str, object]:
         """A readable dump of (P, E, D, S) for traces and the Fig. 4 test."""

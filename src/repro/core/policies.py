@@ -63,8 +63,8 @@ class SchedulingPolicy(abc.ABC):
     # ``restore_state()`` can later apply to *any* fresh instance of the
     # same policy configuration.  The prefix-snapshot cache
     # (engine/snapshots.py) relies on this pair: built-in policies return
-    # structurally shared values (dicts of frozensets), making capture
-    # and restore O(changed) rather than O(total state).
+    # structurally shared values (flat tuples of frozensets), making
+    # capture and restore O(threads) rather than O(total state).
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def snapshot_state(self) -> object:
@@ -134,7 +134,8 @@ class FairPolicy(SchedulingPolicy):
         return tid in enabled and tid not in self._state.schedulable(enabled)
 
     def snapshot_state(self) -> object:
-        return (self._state.snapshot_state(), dict(self._yield_counts))
+        return (self._state.snapshot_state(),
+                tuple(self._yield_counts.items()))
 
     def restore_state(self, state: object) -> None:
         algo_state, yield_counts = state

@@ -28,13 +28,13 @@ class PriorityRelation:
     ``self._out[t]`` is the set of threads ``u`` with ``(t, u)`` in the
     relation, i.e. the threads that currently outrank ``t``.
 
-    The out-edge sets are stored as *immutable* frozensets and replaced
-    (never mutated in place) on every update.  This copy-on-write layout
-    is what makes :meth:`snapshot_state` O(threads-with-edges): a
-    snapshot is a shallow dict copy whose values are shared with the
-    live relation — and with every other snapshot taken while those
-    entries stay unchanged (structural sharing, see
-    ``docs/performance.md``).
+    The out-edge sets are *immutable* frozensets, and the dict holding
+    them is replaced, never mutated in place, by every update that
+    changes the relation.  This copy-on-write layout makes
+    :meth:`snapshot_state` and :meth:`restore_state` O(1): a snapshot is
+    the dict itself, shared with the live relation until its next change
+    and with every other snapshot taken meanwhile (structural sharing,
+    see ``docs/performance.md``).
     """
 
     __slots__ = ("_out",)
@@ -53,7 +53,7 @@ class PriorityRelation:
             raise ValueError("a thread cannot be deprioritized below itself")
         current = self._out.get(t, _EMPTY)
         if u not in current:
-            self._out[t] = current | {u}
+            self._out = {**self._out, t: current | {u}}
 
     def add_edges(self, t: Tid, targets: Iterable[Tid]) -> None:
         """Add edges ``{t} × targets`` (line 25 of Algorithm 1)."""
@@ -61,7 +61,7 @@ class PriorityRelation:
         if targets:
             current = self._out.get(t, _EMPTY)
             if not targets <= current:
-                self._out[t] = current | targets
+                self._out = {**self._out, t: current | targets}
 
     def remove_sink(self, t: Tid) -> None:
         """Remove every edge whose sink is ``t`` (line 13 of Algorithm 1).
@@ -69,17 +69,23 @@ class PriorityRelation:
         Scheduling ``t`` lowers its relative priority: threads that were
         waiting for ``t`` to be disabled are released.
         """
-        for src in list(self._out):
-            targets = self._out[src]
+        out = self._out
+        for targets in out.values():
             if t in targets:
-                remaining = targets - {t}
-                if remaining:
-                    self._out[src] = remaining
-                else:
-                    del self._out[src]
+                break
+        else:
+            return
+        remaining = {}
+        for src, targets in out.items():
+            if t in targets:
+                targets = targets - {t}
+                if not targets:
+                    continue
+            remaining[src] = targets
+        self._out = remaining
 
     def clear(self) -> None:
-        self._out.clear()
+        self._out = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -148,17 +154,13 @@ class PriorityRelation:
     # Persistent-snapshot protocol (docs/performance.md)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Mapping[Tid, FrozenSet[Tid]]:
-        """An immutable-by-convention snapshot of the relation.
-
-        O(threads-with-edges): the frozenset values are shared, not
-        copied, so snapshots taken while the relation is quiescent cost
-        a small dict copy and nothing else.
-        """
-        return dict(self._out)
+        """An immutable snapshot of the relation, in O(1): the out-edge
+        dict itself, which no update mutates in place."""
+        return self._out
 
     def restore_state(self, state: Mapping[Tid, FrozenSet[Tid]]) -> None:
         """Adopt a :meth:`snapshot_state` value (shared, never mutated)."""
-        self._out = dict(state)
+        self._out = state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PriorityRelation):

@@ -18,7 +18,7 @@ is a switch after a voluntary yield.
 from __future__ import annotations
 
 import random
-from collections import deque
+import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
@@ -182,9 +182,15 @@ class ExecutorConfig:
     #: for programs that declare ``supports_snapshot`` (the VM and
     #: native-thread runtimes); any other program fully replays.
     snapshot_cache: bool = True
-    #: Snapshot every N transitions along an execution.  Smaller = less
-    #: prefix re-execution, more capture overhead and memory.
-    snapshot_interval: int = 16
+    #: Minimum spacing, in transitions, between two snapshots on one
+    #: path (counted from the restored point).  Snapshots are taken at
+    #: branch points; 1 captures every one, so each DFS backtrack
+    #: resumes where it branched.
+    snapshot_interval: int = 1
+
+
+#: ``capture_from`` of an execution that captures nothing.
+_NEVER = sys.maxsize
 
 
 def sorted_options(values) -> list:
@@ -286,10 +292,12 @@ def run_execution(
     calling strategy: when the chooser carries a guide and the instance
     can ``fast_forward``, the execution starts from the deepest cached
     snapshot whose decision prefix matches it (instead of re-executing
-    from step 0) and captures new snapshots every ``cache.interval``
-    transitions.  Cached and uncached runs produce identical results; a
-    pruner disables the cache because prefix restoration would skip its
-    per-state consultations.
+    from step 0) and captures a new snapshot at each branch point, the
+    states with more than one thread option, at least
+    ``cache.interval`` transitions past the restored point and past the
+    previous capture.  Cached and uncached runs produce identical
+    results; a pruner disables the cache because prefix restoration
+    would skip its per-state consultations.
 
     ``reducer`` is the per-execution hook of a partial-order reduction
     (sleep-set POR, source-DPOR).  It must also be the ``chooser``, which
@@ -308,16 +316,18 @@ def run_execution(
     """
     if pruner is not None:
         snapshot_cache = None
+    timers = observer.timers if observer is not None else None
+    profiler = observer.profiler if observer is not None else None
+    # The profiler charges set-up and restore to the entry node below.
+    pmark = perf_counter() if profiler is not None else 0.0
     instance = _setup_instance(program, config, observer)
     deadline: Optional[float] = None
     if config.execution_budget_seconds is not None:
         deadline = perf_counter() + config.execution_budget_seconds
-    timers = observer.timers if observer is not None else None
-    profiler = observer.profiler if observer is not None else None
 
     restored: Optional[PrefixSnapshot] = None
-    #: The step of the next snapshot capture (-1: none).
-    capture_at = -1
+    #: Branch points from this step on are captured.
+    capture_from = _NEVER
     if snapshot_cache is not None:
         guide = getattr(chooser, "guide", None)
         if guide is None or not hasattr(instance, "fast_forward"):
@@ -328,8 +338,10 @@ def run_execution(
             instance, restored, decisions = _restore_prefix(
                 snapshot_cache, guide, program, instance, config, observer,
                 timers)
-            capture_at = snapshot_cache.interval + (
-                restored.steps if restored is not None else 0)
+            # The restored point is cached already, so the spacing
+            # counts from it.
+            capture_from = (0 if restored is None
+                            else restored.steps + snapshot_cache.interval)
 
     track_signatures = snapshot_cache is not None and coverage is not None
     if restored is not None:
@@ -342,9 +354,10 @@ def run_execution(
         chooser.skip(restored.count)
         if reducer is not None:
             reducer.restore_state(restored.reducer_state)
-        trace: deque = deque(restored.trace, maxlen=config.trace_window)
         steps = restored.steps
+        trace: List[TraceStep] = restored.trace[:steps]
         preemptions = restored.preemptions
+        preemption_steps = restored.preemption_steps[:preemptions]
         yields = restored.yields
         last_tid: object = restored.last_tid
         last_was_yield = restored.last_was_yield
@@ -363,9 +376,10 @@ def run_execution(
         for tid in sorted_options(instance.thread_ids()):
             policy.register_thread(tid)
         decisions: List[Decision] = []
-        trace = deque(maxlen=config.trace_window)
+        trace = []
         steps = 0
         preemptions = 0
+        preemption_steps: List[int] = []
         yields = 0
         last_tid = None
         last_was_yield = False
@@ -374,12 +388,14 @@ def run_execution(
     if profiler is not None:
         # Cursor into the decision-cost tree: enter at the prefix already
         # recorded (empty for a fresh execution, the restored decisions
-        # after a snapshot fast-forward) and time iterations from here.
+        # after a snapshot fast-forward), charge it the set-up and the
+        # restored steps, and time iterations from here.
         pnode = profiler.enter(d.index for d in decisions)
-        pmark = perf_counter()
+        now = perf_counter()
+        profiler.add_step(pnode, now - pmark, steps)
+        pmark = now
     else:
         pnode = None
-        pmark = 0.0
 
     hit_depth_bound = False
     completing_randomly = False
@@ -393,6 +409,10 @@ def run_execution(
                   if observer is not None else None)
     if observer is not None:
         observer.execution_started()
+        if restored is not None:
+            observer.prefix_restored(decisions, [
+                (at, trace[at - 1].tid, trace[at].tid)
+                for at in preemption_steps])
 
     # Per-execution constants, bound once because the loop below runs once
     # per transition.  ``pick`` is the active chooser's, switched to the
@@ -458,23 +478,6 @@ def run_execution(
             if observer is not None:
                 observer.execution_aborted(steps, abort_reason)
             break
-        if steps == capture_at:
-            # Capture BEFORE recording this state's coverage signature:
-            # the stored signatures then cover states 0..steps-1, and the
-            # resumed loop records state ``steps`` itself — totals match a
-            # full replay exactly.
-            t0 = perf_counter() if timers is not None else 0.0
-            snapshot_cache.capture(
-                decisions, steps, policy, preemptions, yields, last_tid,
-                last_was_yield, trace,
-                prefix_signatures if track_signatures else None,
-                reducer.snapshot_state() if reducer is not None else None)
-            capture_at += snapshot_cache.interval
-            if timers is not None:
-                elapsed = perf_counter() - t0
-                timers.add("snapshot", elapsed)
-                if observer is not None:
-                    observer.snapshot_capture_timed(elapsed)
         if coverage is not None:
             if timers is not None:
                 t0 = perf_counter()
@@ -516,7 +519,7 @@ def run_execution(
                 # divergence.
                 window = max(16, min(config.divergence_window, steps // 2))
                 divergence = _temporal_verdict(instance) or classify_divergence(
-                    trace,
+                    trace[-config.trace_window:],
                     window=window,
                     gs_schedule_threshold=config.gs_schedule_threshold,
                     observer=observer,
@@ -531,7 +534,11 @@ def run_execution(
             if config.on_depth_exceeded == "random-completion":
                 completing_randomly = True
                 completion_end = depth_bound + config.random_completion_cap
-                capture_at = -1
+                capture_from = _NEVER
+                # Snapshots hold ``trace`` by reference: the random tail
+                # goes to a fresh list, so none of them keeps it alive.
+                trace = trace[-config.trace_window:]
+                record_step = trace.append
                 rng = completion_rng
                 if rng is None:
                     # Derive the fallback from the recorded decision
@@ -592,6 +599,26 @@ def run_execution(
                 # permutes independent transitions of an explored one.
                 outcome = Outcome.VISITED_PRUNED
                 break
+        if steps >= capture_from and len(options) > 1:
+            # A branch point: DFS comes back to this state once for each
+            # other option, and each of those executions resumes here.
+            # The sleep set is settled and the policy has seen every
+            # step before this one; the signatures stored cover states
+            # 0..steps-1, and the resumed loop records state ``steps``
+            # itself, so totals match a full replay exactly.
+            capture_from = steps + snapshot_cache.interval
+            t0 = perf_counter() if timers is not None else 0.0
+            snapshot_cache.capture(
+                decisions, steps, policy, preemptions, yields, last_tid,
+                last_was_yield, trace,
+                prefix_signatures if track_signatures else None,
+                reducer.snapshot_state() if reducer is not None else None,
+                preemption_steps)
+            if timers is not None:
+                elapsed = perf_counter() - t0
+                timers.add("snapshot", elapsed)
+                if observer is not None:
+                    observer.snapshot_capture_timed(elapsed)
 
         if timers is not None:
             t0 = perf_counter()
@@ -609,6 +636,7 @@ def run_execution(
                                   tid, len(schedulable), len(enabled))
         if switch_costs_preemption and tid != last_tid:
             preemptions += 1
+            preemption_steps.append(steps)
             if observer is not None:
                 observer.preemption(steps, last_tid, tid, preemptions)
 
@@ -721,7 +749,7 @@ def run_execution(
         preemptions=preemptions,
         violation=violation,
         divergence=divergence,
-        trace=tuple(trace),
+        trace=tuple(trace[-config.trace_window:]),
         hit_depth_bound=hit_depth_bound,
         completed_randomly=completed_randomly,
         crash=crash,

@@ -5,10 +5,12 @@ execution shares a long decision prefix with the previous one, and the
 engine re-executes that prefix from step 0 just to get back to the
 frontier.  For a deterministic runtime that replay is pure overhead —
 the prefix state is a function of the decision sequence alone — so the
-engine can *snapshot* its bookkeeping at decision-depth intervals and
-later fast-forward a fresh instance through the recorded prefix without
+engine can *snapshot* its bookkeeping at the branch points of an
+execution, the states with more than one thread option, and later
+fast-forward a fresh instance through the recorded prefix without
 paying for the policy computation, chooser, trace recording, coverage
-hashing or observer hooks of the full loop.
+hashing or observer hooks of the full loop.  A DFS backtrack always
+bumps a branch point, so it resumes exactly where it branched.
 
 A :class:`PrefixSnapshot` is a **replay-log snapshot**: it does not
 capture Python generator frames (CPython cannot copy them, and thread
@@ -24,16 +26,14 @@ engine-side cost of the prefix.  The result is bit-for-bit identical to
 a full replay: same decisions, same coverage totals, same policy state,
 same trace tail.
 
-A capture is O(1) in the prefix length.  The decision and signature
-lists of an execution only ever grow, and nothing mutates them after
-the run, so a snapshot holds them *by reference* with a count; only the
-trace tail (bounded by ``trace_window``) is copied.  Policy state is
-captured through the persistent-snapshot protocol
-(:meth:`~repro.core.policies.SchedulingPolicy.snapshot_state` /
-``restore_state``): built-in policies store their mutable state as
-dicts of immutable frozensets replaced copy-on-write, so a capture is a
-few shallow dict copies whose values are *shared* — O(changed), not
-O(state).
+A capture is O(1) in the prefix length.  The decision, trace and
+signature lists of an execution only ever grow, and nothing mutates
+them after the run, so a snapshot holds them *by reference* with a
+count.  Policy state is captured through the persistent-snapshot
+protocol (:meth:`~repro.core.policies.SchedulingPolicy.snapshot_state`
+/ ``restore_state``): built-in policies store their mutable state as
+immutable frozensets replaced copy-on-write, so a capture is one flat
+tuple whose values are *shared* — O(threads), not O(state).
 
 Applicability is gated by the ``supports_snapshot`` capability flag on
 the program (True for :class:`~repro.runtime.program.VMProgram` and
@@ -54,7 +54,7 @@ level, so it gives up entries a deeper level could have used.  See
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.engine.results import Decision, TraceStep
 
@@ -79,8 +79,9 @@ class PrefixSnapshot(NamedTuple):
     yields: int
     last_tid: object
     last_was_yield: bool
-    #: Trace tail (already bounded by the executor's trace window).
-    trace: Tuple[TraceStep, ...]
+    #: The capturing execution's trace list, shared by reference
+    #: (``trace[:steps]`` are the prefix's steps).
+    trace: List[TraceStep]
     #: The capturing execution's state-signature list, shared by
     #: reference (``signatures[:steps]`` are the prefix states); None
     #: without coverage tracking.
@@ -88,6 +89,9 @@ class PrefixSnapshot(NamedTuple):
     #: The execution's reducer state (the sleep set under sleep-set POR;
     #: None without a reducer).
     reducer_state: object
+    #: The capturing execution's list of the steps it preempted at,
+    #: shared by reference (the first ``preemptions`` are the prefix's).
+    preemption_steps: Sequence[int]
 
 
 class PrefixSnapshotCache:
@@ -103,7 +107,7 @@ class PrefixSnapshotCache:
     so testing an entry against a guide is one slice comparison.
     """
 
-    def __init__(self, interval: int = 16) -> None:
+    def __init__(self, interval: int) -> None:
         if interval < 1:
             raise ValueError("snapshot interval must be positive")
         self.interval = interval
@@ -157,20 +161,22 @@ class PrefixSnapshotCache:
 
     def capture(self, decisions: List[Decision], steps: int, policy,
                 preemptions: int, yields: int, last_tid: object,
-                last_was_yield: bool, trace: Sequence[TraceStep],
+                last_was_yield: bool, trace: List[TraceStep],
                 signatures: Optional[List[object]],
-                reducer_state: object) -> None:
+                reducer_state: object,
+                preemption_steps: Sequence[int] = ()) -> None:
         """Push a snapshot of the current executor state.
 
-        ``decisions`` and ``signatures`` are the live execution's lists,
-        kept by reference: the caller only ever appends to them.  The
-        executor captures only along the execution that the latest
-        :meth:`lookup` started, so the stack stays one path.
+        ``decisions``, ``trace``, ``signatures`` and ``preemption_steps``
+        are the live execution's lists, kept by reference: the caller
+        only ever appends to them.  The executor captures only along the
+        execution that the latest :meth:`lookup` started, so the stack
+        stays one path.
         """
         self._stack.append(PrefixSnapshot(
             decisions, len(decisions), steps, policy.snapshot_state(),
-            preemptions, yields, last_tid, last_was_yield, tuple(trace),
-            signatures, reducer_state))
+            preemptions, yields, last_tid, last_was_yield, trace,
+            signatures, reducer_state, preemption_steps))
 
     def clear(self, *, failure: bool = False) -> None:
         """Drop everything (after a failed fast-forward the program broke

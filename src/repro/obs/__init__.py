@@ -34,6 +34,7 @@ from repro.obs.events import (
     IcbSweep,
     MultiSink,
     Preemption,
+    PrefixRestored,
     SchedulingDecision,
     SearchInterrupted,
     ShardFinished,
@@ -84,6 +85,7 @@ __all__ = [
     "PHASES",
     "PhaseTimers",
     "Preemption",
+    "PrefixRestored",
     "ProgressReporter",
     "SchedulingDecision",
     "ViolationFound",

@@ -5,10 +5,11 @@ executions, each execution a sequence of scheduling decisions.  Events
 are small frozen dataclasses with JSON-friendly fields; a sink receives
 them in order through :class:`EventSink.emit`.
 
-The decision events are *replay-compatible*: collecting the ``index``
-fields of one execution's :class:`SchedulingDecision` events in order
-reproduces the guide that :func:`repro.engine.replay.replay_schedule`
-accepts (see :func:`repro.obs.trace.schedule_from_events`).
+The decision events are *replay-compatible*: the ``indices`` of one
+execution's :class:`PrefixRestored` event, followed by the ``index``
+fields of its :class:`SchedulingDecision` events in order, reproduce
+the guide that :func:`repro.engine.replay.replay_schedule` accepts (see
+:func:`repro.obs.trace.schedule_from_events`).
 """
 
 from __future__ import annotations
@@ -96,6 +97,18 @@ class SchedulingDecision(Event):
     chosen: str  # repr of the thread id or data value
     schedulable: int  # |T| at this state (0 for data choices)
     enabled: int  # |ES| at this state (0 for data choices)
+
+
+@dataclass(frozen=True)
+class PrefixRestored(Event):
+    """The execution started from a prefix snapshot: its first decisions
+    were restored, not made, so they have no :class:`SchedulingDecision`
+    events of their own."""
+
+    type: ClassVar[str] = "prefix.restored"
+
+    execution: int
+    indices: Tuple[int, ...]  # the restored decisions' indices, in order
 
 
 @dataclass(frozen=True)
@@ -300,6 +313,7 @@ EVENT_TYPES: Dict[str, type] = {
         ExecutionStarted,
         ExecutionFinished,
         SchedulingDecision,
+        PrefixRestored,
         Preemption,
         Backtrack,
         DivergenceClassified,
@@ -377,8 +391,7 @@ def event_from_dict(data: Dict[str, object]) -> Event:
         raise ValueError(f"unknown event type {kind!r}")
     fields = {f.name for f in dataclasses.fields(cls)}
     kwargs = {k: v for k, v in data.items() if k in fields}
-    if "culprits" in kwargs and isinstance(kwargs["culprits"], list):
-        kwargs["culprits"] = tuple(kwargs["culprits"])
-    if "threads" in kwargs and isinstance(kwargs["threads"], list):
-        kwargs["threads"] = tuple(kwargs["threads"])
+    for name in ("culprits", "threads", "indices"):
+        if isinstance(kwargs.get(name), list):
+            kwargs[name] = tuple(kwargs[name])
     return cls(**kwargs)  # type: ignore[arg-type]

@@ -47,6 +47,7 @@ from repro.obs.events import (
     ExplorationStarted,
     IcbSweep,
     Preemption,
+    PrefixRestored,
     SchedulingDecision,
     SearchInterrupted,
     ShardFinished,
@@ -396,6 +397,23 @@ class Observer:
         if restored_steps:
             self.metrics.counter("executions.restored_steps").inc(
                 restored_steps)
+
+    def prefix_restored(self, decisions, preemptions) -> None:
+        """The execution in flight began with ``decisions``, restored
+        from a snapshot, and ``preemptions`` holds the ``(step,
+        preempted, scheduled)`` of each preemption among them.  Both
+        are counted as a replay would count them, and each preemption
+        gets its event; the trace records the decisions as one event,
+        so it still replays the whole execution."""
+        threads = sum(1 for d in decisions if d.kind == "thread")
+        self._decisions_thread.inc(threads)
+        self._decisions_data.inc(len(decisions) - threads)
+        if self.sink is not None:
+            self.sink.emit(PrefixRestored(
+                execution=self._execution,
+                indices=tuple([d.index for d in decisions])))
+        for count, (step, preempted, scheduled) in enumerate(preemptions, 1):
+            self.preemption(step, preempted, scheduled, count)
 
     def prefix_replayed(self, steps: int) -> None:
         """Prefix transitions re-executed through the full engine loop

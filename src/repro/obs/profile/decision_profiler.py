@@ -11,9 +11,10 @@ engine spent extending exactly that prefix.
 
 Attribution is sampling-free and exact — the executor calls
 :meth:`add_step` once per transition with the iteration's measured
-duration — and costs nothing when disabled: the executor guards every
-profiler touch with a single ``profiler is not None`` check (the same
-nil-guard discipline the observer uses).
+duration, and once per execution with the set-up and the transitions a
+snapshot restore carried — and costs nothing when disabled: the
+executor guards every profiler touch with a single ``profiler is not
+None`` check (the same nil-guard discipline the observer uses).
 
 The export format is folded stacks (one ``frame;frame;... value`` line
 per node, value in integer microseconds of *self* time), the lingua
@@ -74,12 +75,13 @@ class DecisionNode:
 class DecisionProfiler:
     """Accumulates executor time into a tree of decision prefixes.
 
-    The executor drives the profiler through three calls (see
+    The executor drives the profiler through four calls (see
     ``repro/engine/executor.py``):
 
     * :meth:`enter` at execution start — descend to the node of the
       already-recorded prefix (empty for a fresh execution, the restored
-      decisions after a snapshot fast-forward);
+      decisions after a snapshot fast-forward), which :meth:`add_step`
+      charges the set-up and the restored transitions;
     * :meth:`descend` after every recorded decision — move the cursor
       one level down;
     * :meth:`add_step` after every transition — attribute the
@@ -127,10 +129,13 @@ class DecisionProfiler:
             self.nodes += 1
         return child
 
-    def add_step(self, node: DecisionNode, seconds: float) -> None:
-        """Attribute one transition's measured duration to ``node``."""
+    def add_step(self, node: DecisionNode, seconds: float,
+                 steps: int = 1) -> None:
+        """Attribute one transition's measured duration to ``node`` (or,
+        at execution start, the set-up and the ``steps`` transitions a
+        snapshot restore carried)."""
         node.seconds += seconds
-        node.steps += 1
+        node.steps += steps
 
     def finish_execution(self, node: DecisionNode, seconds: float) -> None:
         """Attribute the terminal remainder and count the execution."""

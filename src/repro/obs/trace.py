@@ -17,6 +17,7 @@ from repro.obs.events import (
     Event,
     EventSink,
     ExecutionFinished,
+    PrefixRestored,
     SchedulingDecision,
     event_from_dict,
 )
@@ -98,6 +99,10 @@ def schedule_from_events(events: Iterable[Event],
             # Emission order is replay order (thread and data decisions
             # interleave within a step).
             decisions.setdefault(event.execution, []).append(event.index)
+        elif isinstance(event, PrefixRestored):
+            # A restored prefix precedes every decision the execution made.
+            decisions[event.execution] = [
+                *event.indices, *decisions.get(event.execution, ())]
         elif isinstance(event, ExecutionFinished):
             if event.outcome in ("violation", "deadlock", "divergence"):
                 interesting = event.execution

@@ -130,21 +130,27 @@ class VirtualMachine(ProgramInstance):
         becomes the next state's cached ES.
 
         With ``record=False`` (:meth:`fast_forward`) the step returns None
-        and skips what only the :class:`StepInfo` needs: the yield test and
-        the operation's description.
+        and skips what only the :class:`StepInfo` needs: it tests only
+        ``tid``'s own enabledness, raising the same errors, and leaves the
+        ES to be computed when it is next asked for.
         """
         task = self._tasks.get(tid)
         if task is None:
             raise ScheduleError(f"no such thread: {tid}")
-        enabled_before = self._enabled_cache
-        if enabled_before is None:
-            enabled_before = self.enabled_threads()
-        if tid not in enabled_before:
+        op = task.pending
+        if record:
+            enabled_before = self._enabled_cache
+            if enabled_before is None:
+                enabled_before = self.enabled_threads()
+            runnable = tid in enabled_before
+        else:
+            runnable = (task.state is _READY and op is not None
+                        and op.enabled(self, task))
+        if not runnable:
             raise ScheduleError(
                 f"thread {task.name!r} is not enabled (pending "
-                f"{task.pending.describe() if task.pending else 'nothing'})"
+                f"{op.describe() if op else 'nothing'})"
             )
-        op = task.pending
         if record:
             yielded = op.is_yielding(self, task)
             op_desc = op.describe()
@@ -155,13 +161,13 @@ class VirtualMachine(ProgramInstance):
         finally:
             self._enabled_cache = None
             self.step_count += 1
+        if not record:
+            return None
         enabled_after = self._enabled_cache = frozenset([
             t.tid for t in self._tasks.values()
             if t.state is _READY and (pending := t.pending) is not None
             and pending.enabled(self, t)
         ])
-        if not record:
-            return None
         return StepInfo(tid, enabled_before, enabled_after, yielded,
                         tuple(spawned), op_desc)
 

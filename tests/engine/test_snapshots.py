@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.checker import Checker
 from repro.core.policies import NonfairPolicy, nonfair_policy
 from repro.engine.executor import (
     ExecutorConfig,
@@ -21,9 +22,12 @@ from repro.engine.results import Decision, Outcome
 from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies import explore_dfs
 from repro.engine.strategies.base import next_dfs_guide
+from repro.obs import Observer
 from repro.runtime.api import pause
 from repro.runtime.errors import ScheduleError
 from repro.runtime.program import VMProgram
+from repro.workloads.boundedbuffer import bounded_buffer_program
+from repro.workloads.dining import dining_philosophers
 
 
 def _decisions(indices):
@@ -313,3 +317,29 @@ class TestExecutorIntegration:
         assert cached.executions == plain.executions
         assert cached.transitions == plain.transitions
         assert cached.complete and plain.complete
+
+
+class TestBranchPointCapture:
+    """At spacing 1 every branch point is captured once, when DFS first
+    reaches it, and every backtrack resumes from the branch point it
+    bumps: only the bumped decision's own step runs through the loop."""
+
+    @pytest.mark.parametrize("make,kwargs", [
+        (lambda: dining_philosophers(3),
+         dict(depth_bound=400, preemption_bound=1)),
+        (lambda: bounded_buffer_program(items=2, consumers=1),
+         dict(depth_bound=200, preemption_bound=1)),
+    ], ids=["dining3", "bbuf-2-1"])
+    def test_every_backtrack_resumes_where_it_branched(self, make, kwargs):
+        observer = Observer()
+        result = Checker(make(), snapshot_interval=1, observer=observer,
+                         handle_signals=False, **kwargs).run()
+        exploration = result.exploration
+        assert result.ok and exploration.complete
+        metrics = observer.metrics
+        hits = metrics.counter("snapshot.hits").value
+        replayed = metrics.counter("executions.replayed_steps").value
+        captures = metrics.histogram("snapshot.capture.seconds").count
+        assert hits == exploration.executions - 1 == replayed
+        # A tree with L leaves has at most L - 1 branching nodes.
+        assert 0 < captures <= exploration.executions - 1

@@ -24,20 +24,25 @@ from repro.obs import (
     ExplorationFinished,
     ExplorationStarted,
     IcbSweep,
+    JsonlTraceWriter,
     Observer,
     Preemption,
+    PrefixRestored,
     ProgressReporter,
     SchedulingDecision,
     ViolationFound,
+    read_jsonl,
     schedule_from_events,
 )
 from repro.runtime.api import check as rt_check
+from repro.runtime.api import choose as rt_choose
 from repro.runtime.program import VMProgram
 from repro.sync.atomics import SharedVar
 from repro.workloads.dining import (
     dining_philosophers,
     dining_philosophers_livelock,
 )
+from repro.workloads.wsq import work_stealing_queue
 
 
 def racy_program():
@@ -129,6 +134,80 @@ class TestDivergenceTelemetry:
         assert len(events) == 1
         assert events[0].kind == "livelock"
         assert observer.timers.seconds("classify") > 0
+
+
+class TestRestoredPrefixTrace:
+    """With the snapshot cache on (the default), an execution's first
+    decisions are restored, not made; the trace must still carry them,
+    or the guide read back from it replays a different execution."""
+
+    @pytest.mark.parametrize("make,depth,outcome", [
+        (lambda: work_stealing_queue(3, 1, 2), 200, Outcome.VIOLATION),
+        (lambda: dining_philosophers_livelock(2), 400, Outcome.DIVERGENCE),
+    ], ids=["wsq-3-1-2", "livelock-dining2"])
+    def test_jsonl_trace_replays_the_whole_counterexample(
+            self, make, depth, outcome):
+        buffer = io.StringIO()
+        observer = Observer(sink=JsonlTraceWriter(buffer))
+        result = Checker(make(), depth_bound=depth, observer=observer,
+                         handle_signals=False).run()
+        exploration = result.exploration
+        record = (exploration.violations or exploration.divergences)[0]
+        events = list(read_jsonl(io.StringIO(buffer.getvalue())))
+        restored = [e for e in events if isinstance(e, PrefixRestored)]
+        assert restored and all(e.indices for e in restored)
+        guide = schedule_from_events(events)
+        assert guide == list(record.schedule)
+        replayed = replay_schedule(make(), guide, fair_policy(),
+                                   ExecutorConfig(depth_bound=depth))
+        assert replayed.outcome is outcome
+        assert replayed.steps == record.steps
+
+
+def choosing_program():
+    """Two threads that each pick a value, then race to write it."""
+    def setup(env):
+        x = SharedVar(0, name="x")
+
+        def worker():
+            value = yield from rt_choose(2)
+            yield from x.set(value)
+            yield from x.set(value + 1)
+
+        env.spawn(worker, name="a")
+        env.spawn(worker, name="b")
+
+    return VMProgram(setup, name="choosing")
+
+
+class TestCountersIgnoreTheCache:
+    """A restored prefix's decisions and preemptions count as a replay
+    would count them, so the counters read the same with the snapshot
+    cache on and off, and each preemption still has its event."""
+
+    @pytest.mark.parametrize("make,depth", [
+        (lambda: dining_philosophers(3), 400),
+        (choosing_program, 50),
+    ], ids=["dining3", "choose"])
+    def test_counters_equal_with_cache_on_and_off(self, make, depth):
+        counters = {}
+        for cached in (True, False):
+            sink = CollectingSink()
+            observer = Observer(sink=sink)
+            Checker(make(), depth_bound=depth, preemption_bound=1,
+                    snapshot_cache=cached, observer=observer,
+                    handle_signals=False).run()
+            counters[cached] = {
+                name: observer.metrics.counter(name).value
+                for name in ("decisions.thread", "decisions.data",
+                             "preemptions", "snapshot.hits")}
+            assert (counters[cached]["preemptions"]
+                    == len(sink.of_type(Preemption)))
+        on, off = counters[True], counters[False]
+        assert on.pop("snapshot.hits") > 0
+        off.pop("snapshot.hits")
+        assert on == off
+        assert off["decisions.thread"] > 0 and off["preemptions"] > 0
 
 
 class TestPreemptionTelemetry:

@@ -5,7 +5,10 @@ import pytest
 from repro.checker import Checker
 from repro.obs import Observer
 from repro.obs.profile import DecisionProfiler
-from repro.workloads.dining import dining_philosophers
+from repro.workloads.dining import (
+    dining_philosophers,
+    dining_philosophers_livelock,
+)
 
 
 class TestDecisionProfilerUnits:
@@ -134,6 +137,22 @@ class TestEngineIntegration:
         assert profiler.executions > 0
         assert profiler.total_seconds > 0
         assert profiler.to_folded() != ""
+
+    def test_restored_prefixes_are_charged(self):
+        # Fig 1's livelock with the cache on (the default): nearly every
+        # step after the first execution is restored, not looped over.
+        # The tree must still hold every transition, and every timed
+        # phase, the restores' included, runs inside the intervals the
+        # tree tiles each execution with.
+        profiler = DecisionProfiler()
+        observer = Observer(profiler=profiler)
+        result = Checker(dining_philosophers_livelock(2), depth_bound=400,
+                         handle_signals=False, observer=observer).run()
+        restored = observer.metrics.counter("executions.restored_steps")
+        assert restored.value > result.exploration.transitions // 2
+        attributed = sum(node.steps for _, node in profiler.walk())
+        assert attributed == result.exploration.transitions
+        assert profiler.total_seconds >= observer.timers.total_seconds
 
     def test_snapshot_cache_enters_at_restored_prefix(self):
         # With the cache on, fast-forwarded executions enter() at the

@@ -286,6 +286,48 @@ def random_run(program, seed, limit=300):
     return decisions[:clean], infos
 
 
+class TestLeanStep:
+    """``step(tid, record=False)`` tests only ``tid``'s enabledness, but
+    refuses the same threads, with the same errors, as a recorded step."""
+
+    @staticmethod
+    def refusal(vm, tid, record):
+        with pytest.raises(ScheduleError) as caught:
+            vm.step(tid, record=record)
+        return str(caught.value)
+
+    def test_unknown_and_disabled_threads_raise_the_same_error(self):
+        vm = VirtualMachine()
+        lock = Mutex()
+
+        def holder():
+            yield from lock.acquire()
+            yield from pause()
+
+        def waiter():
+            yield from lock.acquire()
+
+        vm.spawn_task(holder, name="holder")
+        vm.spawn_task(waiter, name="waiter")
+        for tid in (0, 0, 1):  # start, acquire, start the waiter
+            vm.step(tid, record=False)
+        assert vm.enabled_threads() == frozenset({0})
+        for tid in (1, 7):  # blocked on the lock; no such thread
+            assert (self.refusal(vm, tid, record=False)
+                    == self.refusal(vm, tid, record=True))
+        vm.step(0, record=False)  # pause: the holder ends, lock held
+        assert vm.enabled_threads() == frozenset()
+        assert (self.refusal(vm, 0, record=False)
+                == self.refusal(vm, 0, record=True))
+
+    def test_lean_step_leaves_the_enabled_set_to_be_computed(self):
+        vm = dining_philosophers(3).instantiate()
+        tid = min(vm.enabled_threads())
+        vm.step(tid, record=False)
+        assert vm._enabled_cache is None
+        assert vm.enabled_threads() == fresh_enabled(vm)
+
+
 class TestOnePassStep:
     """``step`` evaluates each task's enabledness once: ``enabled_before``
     is the cached ES and ``enabled_after`` becomes the next one.  Both
