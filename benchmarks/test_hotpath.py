@@ -17,8 +17,9 @@ on any mismatch — and records both runs' replay counters in
   test.
 
 On both rows cache-on must strictly beat cache-off in **wall-clock
-seconds**.  The gate compares two runs on the *same* machine in the same
-process, so host speed cancels out; cross-machine drift is gated
+seconds**.  Each side is its fastest of five runs, alternating with the
+other side on the *same* machine in the same process, so host speed
+cancels out; cross-machine drift is gated
 separately via the ``cache_speedup`` ratio in ``repro bench compare``.
 The work-stealing queue joins, ungated, at full scale.
 """

@@ -29,9 +29,8 @@ Quickstart::
     assert result.ok
 """
 
-from repro import obs, sync
+from repro import sync
 from repro.checker import Checker, CheckResult, check
-from repro.obs import MetricsRegistry, Observer
 from repro.core import (
     FairPolicy,
     FairSchedulerState,
@@ -74,6 +73,18 @@ from repro.runtime import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The telemetry layer loads on first use: a search without an
+    # observer never needs it.
+    if name in ("obs", "Observer", "MetricsRegistry"):
+        import importlib
+
+        obs = importlib.import_module("repro.obs")
+        return obs if name == "obs" else getattr(obs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AssertionViolation",

@@ -37,13 +37,20 @@ class RunStatus(enum.Enum):
 
 
 class StepInfo(NamedTuple):
-    """Observation of one transition, consumed by scheduling policies.
+    """Observation of one transition: the one record the engine keeps of it.
 
     Attributes mirror the quantities Algorithm 1 reads at each loop
     iteration: the enabled sets before/after the step and whether the
-    executed transition was a yielding one (``curr.yield(t)``).  One is
-    built per transition, hence an immutable ``NamedTuple``: it is about
-    three times cheaper to construct than a frozen dataclass.
+    executed transition was a yielding one (``curr.yield(t)``).  The last
+    two name what ran for reports: the operation's description and the
+    thread's name.  The runtime builds one per transition, the policy
+    observes it, and the executor keeps that same record as the trace
+    entry that snapshots, the divergence classifier and reports read.
+
+    It is an immutable ``NamedTuple``.  A runtime on the hot path builds
+    it with ``tuple.__new__(StepInfo, fields)``, which keeps the type,
+    field access, ``_replace``, equality, ``repr`` and pickling but skips
+    the generated Python ``__new__``.
     """
 
     tid: Tid
@@ -52,6 +59,7 @@ class StepInfo(NamedTuple):
     yielded: bool
     spawned: Tuple[Tid, ...] = ()
     operation: str = ""
+    thread_name: str = ""
 
 
 class ProgramInstance(abc.ABC):
@@ -74,8 +82,10 @@ class ProgramInstance(abc.ABC):
     def step(self, tid: Tid) -> StepInfo:
         """Execute one transition of ``tid`` (``NextState``).
 
-        Raises :class:`repro.runtime.errors.PropertyViolation` (or a
-        subclass) if the transition violates a safety property.
+        The returned record names the thread (``thread_name``) as reports
+        should print it.  Raises
+        :class:`repro.runtime.errors.PropertyViolation` (or a subclass) if
+        the transition violates a safety property.
         """
 
     def status(self) -> RunStatus:

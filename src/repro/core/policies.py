@@ -120,7 +120,9 @@ class FairPolicy(SchedulingPolicy):
         self._state.register_thread(tid)
 
     def schedulable(self, enabled: FrozenSet[Tid]) -> FrozenSet[Tid]:
-        return self._state.schedulable(enabled)
+        # Line 7 of Algorithm 1, asked of the priority relation directly:
+        # this runs once per transition.
+        return self._state.priority.schedulable(enabled)
 
     def observe_step(self, info: StepInfo) -> None:
         if info.yielded and self._k > 1:

@@ -39,7 +39,6 @@ from repro.engine.results import (
     ExecutionResult,
     ExplorationResult,
     Outcome,
-    TraceStep,
     format_trace,
 )
 from repro.engine.strategies import (
@@ -68,7 +67,6 @@ __all__ = [
     "RandomChooser",
     "ResponseMonitor",
     "TemporalMonitor",
-    "TraceStep",
     "classify_divergence",
     "diff_traces",
     "explain_deadlock",

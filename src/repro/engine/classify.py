@@ -24,11 +24,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence, Set
 
-from repro.engine.results import DivergenceKind, DivergenceReport, TraceStep
+from repro.core.model import StepInfo
+from repro.engine.results import DivergenceKind, DivergenceReport
 
 
 def classify_divergence(
-    trace: Sequence[TraceStep],
+    trace: Sequence[StepInfo],
     *,
     window: int = 256,
     gs_schedule_threshold: int = 8,
@@ -57,7 +58,7 @@ def classify_divergence(
 
 
 def _classify(
-    trace: Sequence[TraceStep],
+    trace: Sequence[StepInfo],
     window: int,
     gs_schedule_threshold: int,
 ) -> DivergenceReport:

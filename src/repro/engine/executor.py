@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from repro.chaos.faults import InjectedFault, fault_at
-from repro.core.model import Program, ProgramInstance, RunStatus
+from repro.core.model import Program, ProgramInstance, RunStatus, StepInfo
 from repro.core.policies import SchedulingPolicy
 from repro.engine.classify import classify_divergence
 from repro.engine.coverage import CoverageTracker
@@ -34,7 +34,6 @@ from repro.engine.results import (
     DivergenceReport,
     ExecutionResult,
     Outcome,
-    TraceStep,
 )
 from repro.engine.snapshots import PrefixSnapshot, PrefixSnapshotCache
 from repro.runtime.errors import (
@@ -192,13 +191,34 @@ class ExecutorConfig:
 #: ``capture_from`` of an execution that captures nothing.
 _NEVER = sys.maxsize
 
+#: Builds a :class:`Decision` from a tuple of its fields without the
+#: Python frame of the ``NamedTuple``'s generated ``__new__`` (the loop
+#: records one per transition).
+_new_record = tuple.__new__
+
+_EMPTY: frozenset = frozenset()
+
 
 def sorted_options(values) -> list:
-    """Thread ids in a stable order (by ``repr`` when unorderable)."""
+    """Thread ids in a stable order (by ``repr`` when unorderable).
+
+    The engine loop inlines this for its per-step options."""
     try:
         return sorted(values)
     except TypeError:
         return sorted(values, key=repr)
+
+
+def _thread_name(instance: ProgramInstance, tid: object) -> str:
+    """How reports name ``tid``: its task's name where the runtime has
+    tasks, else the id itself (what the runtimes put in a StepInfo)."""
+    getter = getattr(instance, "task", None)
+    if getter is not None:
+        try:
+            return getter(tid).name
+        except Exception:  # noqa: BLE001 - the name is cosmetic
+            pass
+    return str(tid)
 
 
 def _setup_instance(program: Program, config: ExecutorConfig, observer):
@@ -355,7 +375,7 @@ def run_execution(
         if reducer is not None:
             reducer.restore_state(restored.reducer_state)
         steps = restored.steps
-        trace: List[TraceStep] = restored.trace[:steps]
+        trace: List[StepInfo] = restored.trace[:steps]
         preemptions = restored.preemptions
         preemption_steps = restored.preemption_steps[:preemptions]
         yields = restored.yields
@@ -442,7 +462,7 @@ def run_execution(
         else:
             index = pick("data", n)
         if not completing_randomly:
-            record_decision(Decision("data", index, n, index))
+            record_decision(_new_record(Decision, ("data", index, n, index)))
             if profiler is not None:
                 pnode = profiler.descend(pnode, index)
             if observer is not None:
@@ -452,21 +472,8 @@ def run_execution(
     if hasattr(instance, "data_choice_handler"):
         instance.data_choice_handler = data_choice_handler
 
-    name_cache: dict = {}
-
-    def thread_name(tid: object) -> str:
-        name = name_cache.get(tid)
-        if name is None:
-            getter = getattr(instance, "task", None)
-            if getter is not None:
-                try:
-                    name = getter(tid).name
-                except Exception:  # noqa: BLE001 - lookup is cosmetic
-                    name = str(tid)
-            else:
-                name = str(tid)
-            name_cache[tid] = name
-        return name
+    #: How the step that ended the execution failed, if one did.
+    fault: Optional[str] = None
 
     while True:
         if deadline is not None and perf_counter() > deadline:
@@ -572,8 +579,14 @@ def run_execution(
             )
 
         # ---- context bounding -----------------------------------------
-        options = ([*schedulable] if len(schedulable) == 1
-                   else sorted_options(schedulable))
+        # ``sorted_options``, inlined: this runs once per transition.
+        if len(schedulable) == 1:
+            options = [*schedulable]
+        else:
+            try:
+                options = sorted(schedulable)
+            except TypeError:
+                options = sorted(schedulable, key=repr)
         switch_costs_preemption = False
         if preemption_bound is not None and not completing_randomly:
             if last_tid is not None and last_tid in enabled and not last_was_yield:
@@ -628,7 +641,8 @@ def run_execution(
             index = pick("thread", len(options))
         tid = options[index]
         if not completing_randomly:
-            record_decision(Decision("thread", index, len(options), tid))
+            record_decision(
+                _new_record(Decision, ("thread", index, len(options), tid)))
             if profiler is not None:
                 pnode = profiler.descend(pnode, index)
             if observer is not None:
@@ -653,48 +667,24 @@ def run_execution(
         except ExecutionHung as exc:
             outcome = Outcome.ABORTED
             abort_reason = str(exc)
-            record_step(TraceStep(tid, thread_name(tid), f"⌛ {exc}", False,
-                                  enabled))
-            # The faulting transition counts, same as every other terminal
-            # path: the thread was scheduled and (partially) executed.
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
-            if observer is not None:
-                observer.execution_aborted(steps, abort_reason)
+            fault = f"⌛ {exc}"
             break
         except TaskCrash as exc:
-            if not config.capture_crashes:
+            if config.capture_crashes:
+                crash = exc
+                outcome = Outcome.CRASHED
+                fault = f"✗ crash: {exc}"
+            else:
                 # Legacy behavior: a crashing task is a property violation
                 # (TaskCrash subclasses PropertyViolation).
                 violation = exc
                 outcome = Outcome.VIOLATION
-                record_step(TraceStep(tid, thread_name(tid), f"† {exc}",
-                                      False, enabled))
-                steps += 1
-                if timers is not None:
-                    timers.add("execute", perf_counter() - t0)
-                if observer is not None:
-                    observer.violation(steps, str(exc))
-                break
-            crash = exc
-            outcome = Outcome.CRASHED
-            record_step(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                  False, enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
+                fault = f"† {exc}"
             break
         except PropertyViolation as exc:
             violation = exc
             outcome = Outcome.VIOLATION
-            record_step(TraceStep(tid, thread_name(tid), f"† {exc}", False,
-                                  enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
+            fault = f"† {exc}"
             break
         except Exception as exc:  # noqa: BLE001 - quarantine boundary
             if (not config.capture_crashes
@@ -702,22 +692,15 @@ def run_execution(
                 raise
             crash = exc
             outcome = Outcome.CRASHED
-            record_step(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                  False, enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
+            fault = f"✗ crash: {exc}"
             break
 
         if timers is not None:
             timers.add("execute", perf_counter() - t0)
         observe_step(info)
-        name = name_cache.get(tid)
-        if name is None:
-            name = thread_name(tid)
+        # The runtime's record is the trace entry.
+        record_step(info)
         last_was_yield = info.yielded
-        record_step(TraceStep(tid, name, info.operation, last_was_yield,
-                              enabled))
         steps += 1
         last_tid = tid
         if observer is not None and last_was_yield:
@@ -728,6 +711,26 @@ def run_execution(
             now = perf_counter()
             profiler.add_step(pnode, now - pmark)
             pmark = now
+
+    if fault is not None:
+        # The step raised, so the runtime returned no record: build the
+        # entry here, naming how the step failed.  The faulting
+        # transition counts, in ``steps`` and in the profile, same as
+        # every other: the thread was scheduled and (partially) executed.
+        record_step(StepInfo(tid, enabled, _EMPTY, False, (), fault,
+                             _thread_name(instance, tid)))
+        steps += 1
+        if timers is not None:
+            timers.add("execute", perf_counter() - t0)
+        if profiler is not None:
+            now = perf_counter()
+            profiler.add_step(pnode, now - pmark)
+            pmark = now
+        if observer is not None:
+            if outcome is Outcome.ABORTED:
+                observer.execution_aborted(steps, abort_reason)
+            elif outcome is Outcome.VIOLATION:
+                observer.violation(steps, str(violation))
 
     if reducer is not None:
         reducer.finish(instance, outcome)

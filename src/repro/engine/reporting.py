@@ -17,11 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.results import TraceStep
+from repro.core.model import StepInfo
 
 
-def first_divergence(left: Sequence[TraceStep],
-                     right: Sequence[TraceStep]) -> Optional[int]:
+def first_divergence(left: Sequence[StepInfo],
+                     right: Sequence[StepInfo]) -> Optional[int]:
     """Index of the first differing step, or None if one is a prefix of
     the other (equal-length identical traces included)."""
     for index, (a, b) in enumerate(zip(left, right)):
@@ -30,14 +30,14 @@ def first_divergence(left: Sequence[TraceStep],
     return None
 
 
-def _label(step: Optional[TraceStep]) -> str:
+def _label(step: Optional[StepInfo]) -> str:
     if step is None:
         return "-"
     marker = " [yield]" if step.yielded else ""
     return f"{step.thread_name}: {step.operation}{marker}"
 
 
-def diff_traces(left: Sequence[TraceStep], right: Sequence[TraceStep], *,
+def diff_traces(left: Sequence[StepInfo], right: Sequence[StepInfo], *,
                 context: int = 3,
                 names: Tuple[str, str] = ("left", "right")) -> str:
     """Render both traces around their first divergence."""
@@ -68,7 +68,7 @@ def diff_traces(left: Sequence[TraceStep], right: Sequence[TraceStep], *,
     return "\n".join(lines)
 
 
-def thread_summary(trace: Sequence[TraceStep]) -> List[Tuple[str, int, int]]:
+def thread_summary(trace: Sequence[StepInfo]) -> List[Tuple[str, int, int]]:
     """Per-thread (name, transitions, yields), sorted by transitions."""
     scheduled: Counter = Counter()
     yields: Counter = Counter()
@@ -82,7 +82,7 @@ def thread_summary(trace: Sequence[TraceStep]) -> List[Tuple[str, int, int]]:
     )
 
 
-def format_thread_summary(trace: Sequence[TraceStep]) -> str:
+def format_thread_summary(trace: Sequence[StepInfo]) -> str:
     rows = thread_summary(trace)
     lines = [f"{'thread':<16} {'transitions':>11} {'yields':>7}"]
     for name, transitions, yield_count in rows:

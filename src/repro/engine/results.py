@@ -5,11 +5,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Counter as CounterType
-from typing import FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.model import StepInfo
 from repro.runtime.errors import PropertyViolation
-
-Tid = Hashable
 
 
 class Outcome(enum.Enum):
@@ -30,24 +29,16 @@ class Decision(NamedTuple):
 
     The sequence of decisions *is* the schedule: replaying it reproduces
     the execution exactly (stateless model checking).  Like
-    :class:`TraceStep` and :class:`~repro.core.model.StepInfo`, one is
-    built per transition, hence a ``NamedTuple``.
+    :class:`~repro.core.model.StepInfo`, one is built per transition,
+    hence a ``NamedTuple``; the executor builds it with
+    ``tuple.__new__(Decision, fields)``, skipping the generated
+    ``__new__``.
     """
 
     kind: str  # "thread" or "data"
     index: int  # which alternative was taken
     options: int  # how many alternatives existed
     chosen: object  # the thread id or data value picked (informational)
-
-
-class TraceStep(NamedTuple):
-    """One executed transition, as recorded for reports and classification."""
-
-    tid: Tid
-    thread_name: str
-    operation: str
-    yielded: bool
-    enabled_before: FrozenSet[Tid]
 
 
 class DivergenceKind(enum.Enum):
@@ -84,7 +75,10 @@ class ExecutionResult:
     preemptions: int = 0
     violation: Optional[PropertyViolation] = None
     divergence: Optional[DivergenceReport] = None
-    trace: Sequence[TraceStep] = ()
+    #: The runtime's record of each transition, the last
+    #: ``trace_window`` of them; a step that raised gets one built by the
+    #: executor, whose operation says how it failed.
+    trace: Sequence[StepInfo] = ()
     hit_depth_bound: bool = False
     completed_randomly: bool = False
     #: The exception behind an :attr:`Outcome.CRASHED` record (crash
@@ -249,7 +243,7 @@ class ExplorationResult:
         return "\n".join(lines)
 
 
-def format_trace(trace: Sequence[TraceStep], limit: Optional[int] = None) -> str:
+def format_trace(trace: Sequence[StepInfo], limit: Optional[int] = None) -> str:
     """Render a trace as the numbered transition listing used in reports."""
     steps = list(trace)
     if limit is not None and len(steps) > limit:

@@ -56,7 +56,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence
 
-from repro.engine.results import Decision, TraceStep
+from repro.core.model import StepInfo
+from repro.engine.results import Decision
 
 #: ``Decision.index`` as a C-level getter, for extending the index path.
 _INDEX = itemgetter(1)
@@ -81,7 +82,7 @@ class PrefixSnapshot(NamedTuple):
     last_was_yield: bool
     #: The capturing execution's trace list, shared by reference
     #: (``trace[:steps]`` are the prefix's steps).
-    trace: List[TraceStep]
+    trace: List[StepInfo]
     #: The capturing execution's state-signature list, shared by
     #: reference (``signatures[:steps]`` are the prefix states); None
     #: without coverage tracking.
@@ -161,7 +162,7 @@ class PrefixSnapshotCache:
 
     def capture(self, decisions: List[Decision], steps: int, policy,
                 preemptions: int, yields: int, last_tid: object,
-                last_was_yield: bool, trace: List[TraceStep],
+                last_was_yield: bool, trace: List[StepInfo],
                 signatures: Optional[List[object]],
                 reducer_state: object,
                 preemption_steps: Sequence[int] = ()) -> None:

@@ -289,6 +289,7 @@ class NativeInstance(ProgramInstance):
             yielded=yielded,
             spawned=tuple(self._spawned_this_step),
             operation=op_desc,
+            thread_name=task.name,
         )
 
     def request_data_choice(self, n: int) -> int:

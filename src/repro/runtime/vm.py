@@ -30,6 +30,10 @@ from repro.statespace.canonical import canonicalize
 #: class costs more than the rest of a step's enabled-set test.
 _READY = TaskState.READY
 
+#: Builds a :class:`StepInfo` from a tuple of its fields without the
+#: Python frame of the ``NamedTuple``'s generated ``__new__``.
+_new_record = tuple.__new__
+
 
 class VirtualMachine(ProgramInstance):
     """A live execution of a multithreaded program."""
@@ -127,7 +131,8 @@ class VirtualMachine(ProgramInstance):
 
         ``enabled_before`` is the cached ES, which also says whether ``tid``
         may run; ``enabled_after`` evaluates each task's predicate once and
-        becomes the next state's cached ES.
+        becomes the next state's cached ES.  The returned record is also
+        the engine's trace entry, so it names the task.
 
         With ``record=False`` (:meth:`fast_forward`) the step returns None
         and skips what only the :class:`StepInfo` needs: it tests only
@@ -168,8 +173,9 @@ class VirtualMachine(ProgramInstance):
             if t.state is _READY and (pending := t.pending) is not None
             and pending.enabled(self, t)
         ])
-        return StepInfo(tid, enabled_before, enabled_after, yielded,
-                        tuple(spawned), op_desc)
+        return _new_record(StepInfo, (tid, enabled_before, enabled_after,
+                                      yielded, tuple(spawned), op_desc,
+                                      task.name))
 
     def fast_forward(self, decisions, *,
                      per_step: Optional[Callable[["VirtualMachine"], None]] = None) -> int:

@@ -9,50 +9,38 @@ definitions behind Theorems 4–6, heap canonicalization, and the random
 finite-state programs used by the property-based tests.
 """
 
-from repro.statespace.adapter import (
-    TransitionSystemInstance,
-    TransitionSystemProgram,
-)
-from repro.statespace.canonical import canonicalize, signature_hash
-from repro.statespace.cycles import (
-    StateGraph,
-    cycle_yield_count,
-    enumerate_cycles,
-    fair_sccs,
-    good_samaritan_sccs,
-    is_fair_cycle,
-)
-from repro.statespace.random_programs import (
-    random_good_samaritan_system,
-    random_partitioned_system,
-    random_system,
-)
-from repro.statespace.stateful import GroundTruth, stateful_search
-from repro.statespace.transition_system import (
-    ThreadSpec,
-    TransitionSystem,
-    figure3_system,
-    pc_program,
-)
+import importlib
 
-__all__ = [
-    "GroundTruth",
-    "StateGraph",
-    "ThreadSpec",
-    "TransitionSystem",
-    "TransitionSystemInstance",
-    "TransitionSystemProgram",
-    "canonicalize",
-    "cycle_yield_count",
-    "enumerate_cycles",
-    "fair_sccs",
-    "figure3_system",
-    "good_samaritan_sccs",
-    "is_fair_cycle",
-    "pc_program",
-    "random_good_samaritan_system",
-    "random_partitioned_system",
-    "random_system",
-    "signature_hash",
-    "stateful_search",
-]
+#: Public name -> the submodule that defines it.  The submodules load on
+#: first use, so the runtime's import of ``canonical`` does not pull in
+#: the stateful search and, through it, the engine.
+_EXPORTS = {
+    "GroundTruth": "stateful",
+    "StateGraph": "cycles",
+    "ThreadSpec": "transition_system",
+    "TransitionSystem": "transition_system",
+    "TransitionSystemInstance": "adapter",
+    "TransitionSystemProgram": "adapter",
+    "canonicalize": "canonical",
+    "cycle_yield_count": "cycles",
+    "enumerate_cycles": "cycles",
+    "fair_sccs": "cycles",
+    "figure3_system": "transition_system",
+    "good_samaritan_sccs": "cycles",
+    "is_fair_cycle": "cycles",
+    "pc_program": "transition_system",
+    "random_good_samaritan_system": "random_programs",
+    "random_partitioned_system": "random_programs",
+    "random_system": "random_programs",
+    "signature_hash": "canonical",
+    "stateful_search": "stateful",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

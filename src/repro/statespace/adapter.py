@@ -47,6 +47,7 @@ class TransitionSystemInstance(ProgramInstance):
             enabled_after=self.enabled_threads(),
             yielded=yielded,
             operation=f"{tid}@{self.state!r}",
+            thread_name=str(tid),
         )
 
     def state_signature(self) -> Hashable:

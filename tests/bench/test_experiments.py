@@ -4,9 +4,11 @@ from repro.bench.experiments import (
     BugSearchResult,
     CoverageCell,
     count_nonterminating_executions,
+    fair_wins,
     find_bug,
     measure_coverage,
     program_characteristics,
+    search_times,
 )
 from repro.bench.tables import format_series, format_table
 from repro.workloads.dining import (
@@ -75,6 +77,43 @@ class TestCoverageHarness:
         with pytest.raises(ValueError):
             measure_coverage(lambda: dining_philosophers(2), "bogus",
                              fair=True)
+
+
+def cell(seconds, timed_out, fair=False):
+    """A hand-built Figs 5-6 cell."""
+    return CoverageCell(strategy="dfs", fair=fair,
+                        depth_bound=None if fair else 40, total_states=0,
+                        states=10, executions=100, seconds=seconds,
+                        timed_out=timed_out)
+
+
+class TestSearchTimeHarness:
+    def test_every_budget_hit_is_marked(self):
+        assert cell(12.0, True, fair=True).seconds_label == "12.00*"
+        assert cell(12.0, True).seconds_label == "12.00*"
+        assert cell(0.714, False, fair=True).seconds_label == "0.71"
+
+    def test_fair_cell_of_a_row_is_marked(self):
+        rows = search_times(lambda: dining_philosophers(3),
+                            strategies=("dfs",), depth_bounds=(15,),
+                            max_seconds=0.05)
+        (strategy, fair_label, unfair_label, cells), = rows
+        assert cells[0].timed_out
+        assert fair_label == cells[0].seconds_label
+        assert fair_label.endswith("*")
+
+    def test_fair_win_needs_a_finished_fair_search(self):
+        finished = cell(1.0, False, fair=True)
+        budget_hit = cell(12.0, True, fair=True)
+        # Fair finished; unfair hit the budget or was slower: a win.
+        assert fair_wins([finished, cell(0.5, False), cell(12.0, True)])
+        assert fair_wins([finished, cell(3.0, False)])
+        # Fair finished but was the slower one: no win.
+        assert not fair_wins([finished, cell(0.5, False)])
+        # Both hit the budget: the row shows nothing.
+        assert not fair_wins([budget_hit, cell(12.0, True)])
+        # Fair hit the budget, even against a slower unfair search.
+        assert not fair_wins([budget_hit, cell(20.0, False)])
 
 
 class TestBugHarness:

@@ -5,15 +5,44 @@ import pickle
 import pytest
 
 from repro.core.model import Program, ProgramInstance, RunStatus, StepInfo
-from repro.engine.results import Decision, TraceStep
+from repro.core.policies import NonfairPolicy
+from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
+from repro.engine.results import Decision
+from repro.runtime.api import choose
+from repro.runtime.program import VMProgram
+from repro.workloads.dining import dining_philosophers
 
-#: One of each per-transition record the engine builds.
+
+def _vm_step_info() -> StepInfo:
+    """A StepInfo as the VM builds it (``tuple.__new__``)."""
+    vm = dining_philosophers(2).instantiate()
+    return vm.step(min(vm.enabled_threads()))
+
+
+def _executor_decisions():
+    """A thread and a data Decision as the executor builds them."""
+    def setup(env):
+        def body():
+            yield from choose(2)
+
+        env.spawn(body, name="chooser")
+
+    record = run_execution(VMProgram(setup, name="choose"), NonfairPolicy(),
+                           GuidedChooser([0, 0, 1]), ExecutorConfig())
+    by_kind = {decision.kind: decision for decision in record.decisions}
+    return [by_kind["thread"], by_kind["data"]]
+
+
+#: One of each per-transition record the engine builds, by keyword and as
+#: the hot path builds them.
 RECORDS = [
     StepInfo(tid=1, enabled_before=frozenset(), enabled_after=frozenset(),
              yielded=True),
     Decision("thread", 1, 2, "t"),
-    TraceStep(tid=0, thread_name="a", operation="op", yielded=False,
-              enabled_before=frozenset({0, 1})),
+    StepInfo(tid=0, thread_name="a", operation="op", yielded=False,
+             enabled_before=frozenset({0, 1}), enabled_after=frozenset()),
+    _vm_step_info(),
+    *_executor_decisions(),
 ]
 
 
@@ -23,6 +52,20 @@ class TestStepInfo:
                         enabled_after=frozenset(), yielded=False)
         assert info.spawned == ()
         assert info.operation == ""
+        assert info.thread_name == ""
+
+    def test_hot_path_records_are_whole(self):
+        # tuple.__new__ checks no arity: each record must carry every
+        # field of its type, named as a keyword-built one would be.
+        vm_info, thread, data = RECORDS[3:]
+        for record in RECORDS:
+            assert len(record) == len(type(record)._fields)
+        assert vm_info.thread_name == "Phil1"
+        assert vm_info.operation == "start"
+        assert vm_info == StepInfo(**vm_info._asdict())
+        assert (thread.kind, data.kind) == ("thread", "data")
+        assert data == Decision("data", 1, 2, 1)
+        assert thread._replace(index=1).index == 1
 
     def test_frozen(self):
         for record in RECORDS:

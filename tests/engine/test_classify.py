@@ -1,12 +1,14 @@
 """Divergence classifier tests on synthetic traces."""
 
 from repro.engine.classify import classify_divergence
-from repro.engine.results import DivergenceKind, TraceStep
+from repro.core.model import StepInfo
+from repro.engine.results import DivergenceKind
 
 
 def step(tid, yielded=False, enabled=("t", "u")):
-    return TraceStep(tid=tid, thread_name=str(tid), operation="op",
-                     yielded=yielded, enabled_before=frozenset(enabled))
+    return StepInfo(tid=tid, thread_name=str(tid), operation="op",
+                    yielded=yielded, enabled_before=frozenset(enabled),
+                    enabled_after=frozenset())
 
 
 class TestLivelock:

@@ -6,13 +6,13 @@ from repro.engine.reporting import (
     format_thread_summary,
     thread_summary,
 )
-from repro.engine.results import TraceStep
+from repro.core.model import StepInfo
 
 
 def step(name, op, yielded=False, tid=None):
-    return TraceStep(tid=tid if tid is not None else name,
-                     thread_name=name, operation=op, yielded=yielded,
-                     enabled_before=frozenset())
+    return StepInfo(tid=tid if tid is not None else name,
+                    thread_name=name, operation=op, yielded=yielded,
+                    enabled_before=frozenset(), enabled_after=frozenset())
 
 
 TRACE_A = [step("a", "acquire(m)"), step("b", "load(x)"),

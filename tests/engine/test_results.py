@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+from repro.core.model import StepInfo
 from repro.engine.results import (
     Decision,
     DivergenceKind,
@@ -9,14 +10,14 @@ from repro.engine.results import (
     ExecutionResult,
     ExplorationResult,
     Outcome,
-    TraceStep,
     format_trace,
 )
 
 
 def step(name, op, yielded=False):
-    return TraceStep(tid=0, thread_name=name, operation=op,
-                     yielded=yielded, enabled_before=frozenset({0}))
+    return StepInfo(tid=0, thread_name=name, operation=op,
+                    yielded=yielded, enabled_before=frozenset({0}),
+                    enabled_after=frozenset())
 
 
 class TestFormatTrace:

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.checker import Checker
+from repro.engine.results import Outcome
 from repro.obs import Observer
 from repro.obs.profile import DecisionProfiler
 from repro.workloads.dining import (
     dining_philosophers,
     dining_philosophers_livelock,
 )
+from repro.workloads.wsq import work_stealing_queue
 
 
 class TestDecisionProfilerUnits:
@@ -153,6 +155,19 @@ class TestEngineIntegration:
         attributed = sum(node.steps for _, node in profiler.walk())
         assert attributed == result.exploration.transitions
         assert profiler.total_seconds >= observer.timers.total_seconds
+
+    def test_faulting_steps_are_charged(self):
+        # An execution that ends inside a step (here 281 of 300 end in an
+        # invariant violation) still charges that step, so the tree
+        # attributes exactly the transitions the search ran.
+        profiler = DecisionProfiler()
+        observer = Observer(profiler=profiler)
+        result = Checker(work_stealing_queue(3, 1, 2), depth_bound=200,
+                         max_executions=300, stop_on_first_violation=False,
+                         handle_signals=False, observer=observer).run()
+        assert result.exploration.outcomes[Outcome.VIOLATION] == 281
+        attributed = sum(node.steps for _, node in profiler.walk())
+        assert attributed == result.exploration.transitions == 15_400
 
     def test_snapshot_cache_enters_at_restored_prefix(self):
         # With the cache on, fast-forwarded executions enter() at the
