@@ -12,8 +12,8 @@ from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
 from repro.engine.strategies import (
     ExplorationLimits,
+    SleepSetStrategy,
     explore_dfs,
-    explore_dfs_sleepsets,
 )
 from repro.runtime.program import VMProgram
 from repro.sync.mutex import Mutex
@@ -46,9 +46,9 @@ def compare(program_factory):
     full = explore_dfs(program_factory(), fair_policy(),
                        ExecutorConfig(depth_bound=300), LIMITS,
                        coverage=full_cov)
-    por = explore_dfs_sleepsets(program_factory(), fair_policy(),
-                                depth_bound=300, limits=LIMITS,
-                                coverage=por_cov)
+    por = SleepSetStrategy(program_factory(), fair_policy(),
+                           depth_bound=300, limits=LIMITS,
+                           coverage=por_cov).explore()
     return (full, por, full_cov, por_cov)
 
 

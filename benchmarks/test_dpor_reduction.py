@@ -36,11 +36,7 @@ from repro.bench.experiments import bench_provenance
 from repro.bench.tables import format_table
 from repro.core.policies import fair_policy, nonfair_policy
 from repro.engine.results import Outcome
-from repro.engine.strategies import (
-    ExplorationLimits,
-    explore_dfs_sleepsets,
-    explore_source_dpor,
-)
+from repro.engine.strategies import STRATEGIES, ExplorationLimits
 from repro.runtime.program import VMProgram
 from repro.sync.mutex import Mutex
 from repro.workloads.dining import dining_philosophers
@@ -100,16 +96,15 @@ WORKLOADS = [
 
 
 def run_reducer(reducer, factory, policy):
-    explore = (explore_source_dpor if reducer == "dpor"
-               else explore_dfs_sleepsets)
     factory_fn = fair_policy if policy == "fair" else nonfair_policy
     seconds = float("inf")
     totals = set()
     for _ in range(REPEATS):
         gc.collect()
         started = time.perf_counter()
-        result = explore(factory(), factory_fn(), depth_bound=DEPTH_BOUND,
-                         limits=LIMITS)
+        result = STRATEGIES[reducer](
+            factory(), factory_fn(), depth_bound=DEPTH_BOUND,
+            limits=LIMITS).explore()
         seconds = min(seconds, time.perf_counter() - started)
         totals.add((result.executions, result.transitions))
     assert len(totals) == 1, (

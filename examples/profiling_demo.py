@@ -8,14 +8,14 @@ shows the three views docs/profiling.md describes:
   wall clock (exported as folded stacks for flamegraph.pl/speedscope);
 * the span timeline — what the process was doing and when (exported as
   Chrome trace-event JSON for Perfetto / chrome://tracing);
-* the snapshot-cache amortization report — does the prefix cache pay
-  for itself on this workload?
+* the snapshot-cache cost — capture and restore seconds, which
+  together make up the ``snapshot`` phase timer.
 
-The same data is available from the CLI:
+The same data is available from the CLI (``--metrics-json`` carries the
+capture and restore histograms):
 
     python -m repro check repro.workloads.dining:dining_philosophers \\
         -a 2 --profile-out profile.folded --chrome-trace trace.json
-    python -m repro profile snapshots
 
 Run:  python examples/profiling_demo.py
 """
@@ -25,13 +25,7 @@ import tempfile
 
 from repro import Checker
 from repro.obs import Observer
-from repro.obs.profile import (
-    DecisionProfiler,
-    format_snapshot_report,
-    snapshot_amortization,
-    write_chrome_trace,
-)
-from repro.workloads.boundedbuffer import bounded_buffer_program
+from repro.obs.profile import DecisionProfiler, write_chrome_trace
 from repro.workloads.dining import dining_philosophers
 
 
@@ -68,11 +62,12 @@ def main():
     print(f"chrome trace ({events} events) written to {trace_path}")
     print("  open in https://ui.perfetto.dev or chrome://tracing")
 
-    print("\n" + "=" * 60)
-    report = snapshot_amortization(
-        lambda: bounded_buffer_program(items=2, consumers=2),
-        max_executions=80)
-    print(format_snapshot_report(report))
+    capture = observer.metrics.histogram("snapshot.capture.seconds")
+    restore = observer.metrics.histogram("snapshot.restore.seconds")
+    print(f"\nsnapshot cache: {capture.count} captures "
+          f"({capture.total * 1e3:.2f}ms) and {restore.count} restores "
+          f"({restore.total * 1e3:.2f}ms) make up the "
+          f"{observer.timers.seconds('snapshot') * 1e3:.2f}ms snapshot phase")
 
 
 if __name__ == "__main__":

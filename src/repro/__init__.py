@@ -53,13 +53,9 @@ from repro.engine import (
     ExplorationLimits,
     ExplorationResult,
     Outcome,
-    explore_bfs,
-    explore_context_bounded,
     explore_dfs,
-    explore_random,
     format_trace,
     invariant,
-    iterative_context_bounding,
     never,
     replay_schedule,
 )
@@ -113,14 +109,10 @@ __all__ = [
     "TaskCrash",
     "VMProgram",
     "check",
-    "explore_bfs",
-    "explore_context_bounded",
     "explore_dfs",
-    "explore_random",
     "fair_policy",
     "format_trace",
     "invariant",
-    "iterative_context_bounding",
     "never",
     "nonfair_policy",
     "obs",

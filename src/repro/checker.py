@@ -71,10 +71,12 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         """No safety violation, no deadlock, no crash and no erroneous
-        divergence."""
+        divergence.  A crash stop fails too: a parallel search reports
+        one when it quarantines a shard whose subtree went unsearched."""
         if self.exploration.found_violation:
             return False
-        if self.exploration.crashes:
+        if (self.exploration.crashes
+                or self.exploration.stop_reason == "max-crashes"):
             return False
         return not any(
             r.divergence and r.divergence.kind in _ERROR_DIVERGENCES
@@ -178,6 +180,18 @@ class Checker:
             raise ValueError("workers must be positive")
         if snapshot_interval < 1:
             raise ValueError("snapshot interval must be positive")
+        # Out-of-range bounds would run a search over no work and PASS.
+        if depth_bound is not None and depth_bound < 1:
+            raise ValueError("depth bound must be positive")
+        if preemption_bound is not None and preemption_bound < 0:
+            raise ValueError("preemption bound must be non-negative")
+        budget = execution_budget_seconds
+        if budget is not None and budget <= 0:
+            raise ValueError("execution budget must be positive")
+        if random_executions < 1:
+            raise ValueError("random executions must be positive")
+        if max_crashes is not None and max_crashes < 1:
+            raise ValueError("max crashes must be positive")
         self.program = program
         #: Worker processes for the sharded search (1 = serial, today's
         #: behavior; see docs/parallel.md).

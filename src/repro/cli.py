@@ -9,8 +9,6 @@ Subcommands:
 * ``replay REPRO_FILE MODULE:FACTORY`` — replay a saved counterexample.
 * ``demo NAME`` — run a built-in workload demonstration.
 * ``demos`` — list the built-in demonstrations.
-* ``profile snapshots [MODULE:FACTORY]`` — snapshot-cache amortization
-  report with an on/off verdict (docs/profiling.md).
 * ``bench compare BASELINE CURRENT`` — diff two benchmark JSON files
   with noise tolerances; exits non-zero on regression.
 
@@ -111,17 +109,29 @@ def _build_program(spec: str, raw_args: List[str]) -> Program:
     return result
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+def _checked(kind: type, valid: Callable[[float], bool],
+             what: str) -> Callable[[str], float]:
+    """An argparse type: a ``kind`` value that ``valid`` accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda value: value >= 0,
+                             "a non-negative integer")
+_positive_float = _checked(float, lambda value: value > 0,
+                           "a positive number")
 
 
 def _add_checker_options(parser: argparse.ArgumentParser) -> None:
@@ -129,9 +139,10 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                         help="use the classical unfair scheduler")
     parser.add_argument("--strategy", default="dfs",
                         choices=list(STRATEGIES))
-    parser.add_argument("--depth-bound", type=int, default=5000,
+    parser.add_argument("--depth-bound", type=_positive_int, default=5000,
                         help="divergence bound (fair) / prune bound (unfair)")
-    parser.add_argument("--preemption-bound", type=int, default=None,
+    parser.add_argument("--preemption-bound", type=_non_negative_int,
+                        default=None,
                         help="context bound (max preemptions per execution)")
     parser.add_argument("--k-yield", type=int, default=1,
                         help="process every k-th yield (soundness knob)")
@@ -142,7 +153,8 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                              "(rerun with --resume and a larger N to "
                              "search in slices)")
     parser.add_argument("--max-seconds", type=float, default=None)
-    parser.add_argument("--random-executions", type=int, default=200)
+    parser.add_argument("--random-executions", type=_positive_int,
+                        default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--coverage", action="store_true",
                         help="track state coverage (needs state_signature)")
@@ -187,11 +199,13 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
     resilience.add_argument("--resume", action="store_true",
                             help="resume from --checkpoint if it exists "
                                  "(starts fresh otherwise)")
-    resilience.add_argument("--execution-budget", type=float, default=None,
+    resilience.add_argument("--execution-budget", type=_positive_float,
+                            default=None,
                             metavar="SECONDS",
                             help="wall-clock budget per execution; hung "
                                  "executions are aborted, not fatal")
-    resilience.add_argument("--max-crashes", type=int, default=None,
+    resilience.add_argument("--max-crashes", type=_positive_int,
+                            default=None,
                             metavar="N",
                             help="capture crashing executions as quarantined "
                                  "findings and stop after N of them")
@@ -372,46 +386,6 @@ def _cmd_demos(options: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile_snapshots(options: argparse.Namespace) -> int:
-    """Measure snapshot-cache amortization and print the verdict report."""
-    from repro.obs.profile import format_snapshot_report, snapshot_amortization
-
-    if options.program:
-        def program_factory():
-            return _build_program(options.program, options.factory_arg)
-    else:
-        from repro.workloads.boundedbuffer import bounded_buffer_program
-
-        def program_factory():
-            return bounded_buffer_program(items=2, consumers=2)
-
-    bound = options.preemption_bound
-    if bound is None:
-        # 2, unless the strategy refuses a preemption bound.
-        try:
-            bound = STRATEGIES[options.strategy].configure(
-                ExecutorConfig(preemption_bound=2)).preemption_bound
-        except UnsupportedConfiguration:
-            pass
-    report = snapshot_amortization(
-        program_factory,
-        strategy=options.strategy,
-        depth_bound=options.depth_bound,
-        preemption_bound=bound,
-        snapshot_interval=options.snapshot_interval,
-        max_executions=options.max_executions,
-    )
-    print(format_snapshot_report(report))
-    if options.json_out:
-        import json
-
-        Path(options.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"report written to {options.json_out}")
-    return 0
-
-
 def _cmd_bench_compare(options: argparse.Namespace) -> int:
     """Compare two benchmark JSON files; non-zero exit on regression."""
     from repro.obs.profile import compare_bench, load_bench
@@ -507,34 +481,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--torture-stride", type=int, default=1,
         help="check every N-th write-sequence prefix (default: all)")
     chaos_parser.set_defaults(func=_cmd_chaos)
-
-    profile_parser = sub.add_parser(
-        "profile", help="profiling reports (docs/profiling.md)")
-    profile_sub = profile_parser.add_subparsers(dest="profile_command",
-                                                required=True)
-    snapshots_parser = profile_sub.add_parser(
-        "snapshots",
-        help="snapshot-cache amortization report: per-phase capture/"
-             "restore cost vs replay savings, with an on/off verdict")
-    snapshots_parser.add_argument(
-        "program", nargs="?", default=None,
-        help="factory spec package.module:factory "
-             "(default: the hot-path bench workload, "
-             "bounded_buffer_program(items=2, consumers=2))")
-    snapshots_parser.add_argument("-a", "--factory-arg", action="append",
-                                  default=[])
-    snapshots_parser.add_argument("--strategy", default="dfs",
-                                  choices=list(STRATEGIES))
-    snapshots_parser.add_argument("--depth-bound", type=int, default=200)
-    snapshots_parser.add_argument(
-        "--preemption-bound", type=int, default=None,
-        help="default 2; none for por and dpor, which refuse a bound")
-    snapshots_parser.add_argument("--snapshot-interval", type=_positive_int,
-                                  default=4)
-    snapshots_parser.add_argument("--max-executions", type=int, default=250)
-    snapshots_parser.add_argument("--json-out", metavar="FILE",
-                                  help="also write the report as JSON")
-    snapshots_parser.set_defaults(func=_cmd_profile_snapshots)
 
     bench_parser = sub.add_parser(
         "bench", help="benchmark tooling (docs/performance.md)")

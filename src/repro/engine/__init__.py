@@ -41,15 +41,7 @@ from repro.engine.results import (
     Outcome,
     format_trace,
 )
-from repro.engine.strategies import (
-    ExplorationLimits,
-    explore_bfs,
-    explore_context_bounded,
-    explore_dfs,
-    explore_dfs_sleepsets,
-    explore_random,
-    iterative_context_bounding,
-)
+from repro.engine.strategies import ExplorationLimits, explore_dfs
 
 __all__ = [
     "Chooser",
@@ -70,16 +62,11 @@ __all__ = [
     "classify_divergence",
     "diff_traces",
     "explain_deadlock",
-    "explore_bfs",
-    "explore_context_bounded",
     "explore_dfs",
-    "explore_dfs_sleepsets",
-    "explore_random",
     "first_divergence",
     "format_thread_summary",
     "format_trace",
     "invariant",
-    "iterative_context_bounding",
     "load_and_replay",
     "load_schedule",
     "never",

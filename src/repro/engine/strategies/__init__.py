@@ -9,20 +9,12 @@ from repro.engine.strategies.base import (
     SearchStrategy,
     next_dfs_guide,
 )
-from repro.engine.strategies.bfs import BfsStrategy, explore_bfs
-from repro.engine.strategies.context_bound import (
-    IcbStrategy,
-    explore_context_bounded,
-    iterative_context_bounding,
-    merge_sweeps,
-)
+from repro.engine.strategies.bfs import BfsStrategy
+from repro.engine.strategies.context_bound import IcbStrategy, merge_sweeps
 from repro.engine.strategies.dfs import DfsStrategy, explore_dfs
-from repro.engine.strategies.dpor import DporStrategy, explore_source_dpor
-from repro.engine.strategies.por import SleepSetStrategy, explore_dfs_sleepsets
-from repro.engine.strategies.random_walk import (
-    RandomWalkStrategy,
-    explore_random,
-)
+from repro.engine.strategies.dpor import DporStrategy
+from repro.engine.strategies.por import SleepSetStrategy
+from repro.engine.strategies.random_walk import RandomWalkStrategy
 
 #: Every search strategy by name, in ``--strategy`` help order.
 STRATEGIES: Dict[str, Type[SearchStrategy]] = {
@@ -53,13 +45,7 @@ __all__ = [
     "STRATEGIES",
     "SearchStrategy",
     "SleepSetStrategy",
-    "explore_bfs",
-    "explore_context_bounded",
     "explore_dfs",
-    "explore_dfs_sleepsets",
-    "explore_source_dpor",
-    "explore_random",
-    "iterative_context_bounding",
     "merge_sweeps",
     "next_dfs_guide",
     "strategy_class",

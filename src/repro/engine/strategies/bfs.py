@@ -20,7 +20,7 @@ from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
-from repro.engine.results import ExecutionResult, ExplorationResult
+from repro.engine.results import ExecutionResult
 from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
 
@@ -100,27 +100,3 @@ class BfsStrategy(SearchStrategy):
 
     def _load_frontier(self, state: dict) -> None:
         self.queue = deque(list(guide) for guide in state.get("queue", []))
-
-
-def explore_bfs(
-    program: Program,
-    policy_factory: PolicyFactory,
-    config: Optional[ExecutorConfig] = None,
-    limits: Optional[ExplorationLimits] = None,
-    *,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable[[ExecutionResult], None]] = None,
-    observer=None,
-    resilience=None,
-) -> ExplorationResult:
-    """Search the choice tree level by level."""
-    return BfsStrategy(
-        program,
-        policy_factory,
-        config,
-        limits,
-        coverage=coverage,
-        listener=listener,
-        observer=observer,
-        resilience=resilience,
-    ).explore()

@@ -9,7 +9,7 @@ Integration with fairness (Section 4): a switch forced by the priority
 relation — the running thread is enabled but no longer schedulable — is
 **not** counted against the bound, otherwise fair search would be unsound
 at small bounds.  The accounting itself lives in the executor; this module
-provides the strategy wrappers and the iterative sweep.
+provides the iterative sweep, :class:`IcbStrategy`.
 
 Checkpointing: an ICB snapshot holds the current bound, the serialized
 results of every finished sweep, and the in-flight inner DFS frontier, so
@@ -207,56 +207,3 @@ class IcbStrategy(SearchStrategy):
             if self.stop_on_violation and result.found_violation:
                 break
         return results
-
-
-def explore_context_bounded(
-    program: Program,
-    policy_factory: PolicyFactory,
-    bound: int,
-    config: Optional[ExecutorConfig] = None,
-    limits: Optional[ExplorationLimits] = None,
-    *,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable[[ExecutionResult], None]] = None,
-    observer=None,
-    resilience=None,
-) -> ExplorationResult:
-    """DFS over all executions with at most ``bound`` preemptions: one
-    sweep of :class:`IcbStrategy`."""
-    if bound < 0:
-        raise ValueError("preemption bound must be non-negative")
-    return IcbStrategy.create(
-        program, policy_factory, config or ExecutorConfig(), limits,
-        bound=bound, coverage=coverage, listener=listener,
-        observer=observer, resilience=resilience,
-    ).explore()
-
-
-def iterative_context_bounding(
-    program: Program,
-    policy_factory: PolicyFactory,
-    max_bound: int,
-    config: Optional[ExecutorConfig] = None,
-    limits: Optional[ExplorationLimits] = None,
-    *,
-    coverage: Optional[CoverageTracker] = None,
-    stop_on_violation: bool = True,
-    observer=None,
-    resilience=None,
-) -> List[ExplorationResult]:
-    """Run searches with bounds 0, 1, ..., ``max_bound`` in order.
-
-    Returns one :class:`ExplorationResult` per bound; stops early at the
-    first bound that finds a violation when ``stop_on_violation`` is set.
-    """
-    return IcbStrategy(
-        program,
-        policy_factory,
-        max_bound,
-        config,
-        limits,
-        coverage=coverage,
-        stop_on_violation=stop_on_violation,
-        observer=observer,
-        resilience=resilience,
-    ).sweeps()

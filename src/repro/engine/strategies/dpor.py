@@ -78,7 +78,7 @@ from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, run_execution, sorted_options
-from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
+from repro.engine.results import ExecutionResult, Outcome
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
 from repro.engine.strategies.por import (
     Resources,
@@ -654,31 +654,3 @@ class DporStrategy(SearchStrategy):
         self.tail = list(state.get("tail", []))
         self.exhausted = bool(state.get("exhausted", False))
         self._clocks = []
-
-
-def explore_source_dpor(
-    program: Program,
-    policy_factory: PolicyFactory,
-    *,
-    depth_bound: Optional[int] = None,
-    limits: Optional[ExplorationLimits] = None,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable[[ExecutionResult], None]] = None,
-    observer=None,
-    resilience=None,
-    config: Optional[ExecutorConfig] = None,
-    on_final_state: Optional[Callable] = None,
-) -> ExplorationResult:
-    """Source-DPOR with wakeup trees, run to exhaustion."""
-    return DporStrategy(
-        program,
-        policy_factory,
-        depth_bound=depth_bound,
-        limits=limits,
-        coverage=coverage,
-        listener=listener,
-        observer=observer,
-        resilience=resilience,
-        config=config,
-        on_final_state=on_final_state,
-    ).explore()

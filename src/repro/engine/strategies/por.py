@@ -38,13 +38,11 @@ snapshot point as the hook's state.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import Program
 from repro.core.policies import PolicyFactory
-from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, GuidedChooser
-from repro.engine.results import ExecutionResult, ExplorationResult
 from repro.engine.strategies.base import ExplorationLimits
 from repro.engine.strategies.dfs import DfsStrategy
 from repro.runtime.errors import UnsupportedConfiguration
@@ -192,29 +190,3 @@ class SleepSetStrategy(DfsStrategy):
         super().__init__(program, policy_factory,
                          reducer_config(self.name, config, depth_bound),
                          limits, strategy_name="dfs+sleepsets", **kwargs)
-
-
-def explore_dfs_sleepsets(
-    program: Program,
-    policy_factory: PolicyFactory,
-    *,
-    depth_bound: Optional[int] = None,
-    limits: Optional[ExplorationLimits] = None,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable[[ExecutionResult], None]] = None,
-    observer=None,
-    resilience=None,
-    config: Optional[ExecutorConfig] = None,
-) -> ExplorationResult:
-    """Depth-first search with sleep-set partial-order reduction."""
-    return SleepSetStrategy(
-        program,
-        policy_factory,
-        depth_bound=depth_bound,
-        limits=limits,
-        coverage=coverage,
-        listener=listener,
-        observer=observer,
-        resilience=resilience,
-        config=config,
-    ).explore()

@@ -25,7 +25,7 @@ from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, RandomChooser, run_execution
-from repro.engine.results import ExecutionResult, ExplorationResult
+from repro.engine.results import ExecutionResult
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
 
 
@@ -139,31 +139,3 @@ class RandomWalkStrategy(SearchStrategy):
             self.start = 0
             self.end = self.total
             self.next_index = self.total - state.get("remaining", 0)
-
-
-def explore_random(
-    program: Program,
-    policy_factory: PolicyFactory,
-    config: Optional[ExecutorConfig] = None,
-    limits: Optional[ExplorationLimits] = None,
-    *,
-    executions: int = 100,
-    seed: int = 0,
-    coverage: Optional[CoverageTracker] = None,
-    listener: Optional[Callable[[ExecutionResult], None]] = None,
-    observer=None,
-    resilience=None,
-) -> ExplorationResult:
-    """Run ``executions`` independent random executions."""
-    return RandomWalkStrategy(
-        program,
-        policy_factory,
-        config,
-        limits,
-        executions=executions,
-        seed=seed,
-        coverage=coverage,
-        listener=listener,
-        observer=observer,
-        resilience=resilience,
-    ).explore()

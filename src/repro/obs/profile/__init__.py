@@ -10,9 +10,6 @@ totals); this package answers *where the time went*:
 * :class:`SpanRecorder` + :func:`write_chrome_trace` — wall-clock span
   timelines (shard lifecycle, worker activity, phase totals) merged into
   one Chrome trace-event JSON viewable in Perfetto;
-* :func:`snapshot_amortization` — the prefix-snapshot cache's cost
-  accounting: capture/restore seconds and bytes, break-even analysis,
-  and a cache-on/off verdict (``repro profile snapshots``);
 * :func:`compare_bench` — benchmark regression comparison with
   noise tolerances (``repro bench compare``).
 
@@ -30,10 +27,6 @@ from repro.obs.profile.chrome_trace import (
     write_chrome_trace,
 )
 from repro.obs.profile.decision_profiler import DecisionNode, DecisionProfiler
-from repro.obs.profile.snapshot_report import (
-    format_snapshot_report,
-    snapshot_amortization,
-)
 from repro.obs.profile.spans import Span, SpanRecorder
 
 __all__ = [
@@ -45,8 +38,6 @@ __all__ = [
     "SpanRecorder",
     "chrome_trace_document",
     "compare_bench",
-    "format_snapshot_report",
     "load_bench",
-    "snapshot_amortization",
     "write_chrome_trace",
 ]

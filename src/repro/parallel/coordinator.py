@@ -851,9 +851,7 @@ class ParallelCoordinator:
         merged.complete = (all_complete and not quarantined
                            and self._stop_reason is None
                            and self.cls.exhaustive)
-        merged.stop_reason = self._stop_reason
-        merged.limit_hit = self._stop_reason in (
-            "max-executions", "max-seconds", "max-crashes")
+        self._stamp_stop(merged, bool(quarantined))
         merged.wall_seconds = time.perf_counter() - self._start_time
         if self.coverage is not None:
             for signature in self._signatures:
@@ -870,10 +868,19 @@ class ParallelCoordinator:
         merged = merge_sweeps(self.program.name, self.policy_name,
                               phase_results)
         merged.wall_seconds = time.perf_counter() - self._start_time
-        merged.stop_reason = self._stop_reason
-        merged.limit_hit = self._stop_reason in (
-            "max-executions", "max-seconds", "max-crashes")
+        self._stamp_stop(merged, any(result.stop_reason == "max-crashes"
+                                     for result in phase_results))
         return merged
+
+    def _stamp_stop(self, merged: ExplorationResult,
+                    quarantined: bool) -> None:
+        """The run's own stop, else a crash stop when a quarantined
+        shard's subtree went unsearched: never a PASS, though the
+        healthy shards finished."""
+        merged.stop_reason = self._stop_reason or (
+            "max-crashes" if quarantined else None)
+        merged.limit_hit = merged.stop_reason in (
+            "max-executions", "max-seconds", "max-crashes")
 
     def _regenerate_traces(self, merged: ExplorationResult) -> None:
         """Shard results travel trace-less (schedules replay

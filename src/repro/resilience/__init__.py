@@ -1,4 +1,5 @@
-"""Resilient exploration: checkpoint/resume, watchdogs, crash quarantine.
+"""Resilient exploration: checkpoint/resume, execution budgets, crash
+quarantine.
 
 Long searches over real systems code must survive the real world:
 
@@ -6,9 +7,11 @@ Long searches over real systems code must survive the real world:
   versioned snapshots of the search frontier + aggregated results;
   ``Checker.run(resume_from=...)`` (CLI ``--checkpoint/--resume``)
   continues an interrupted search to the same outcome;
-* **watchdogs** — :class:`ExecutionWatchdog` bounds each execution's
-  wall-clock time; hung native threads are cut loose and reported as
-  leaked instead of stalling the run;
+* **execution budgets** — ``execution_budget_seconds`` (CLI
+  ``--execution-budget``) bounds each execution's wall-clock time; the
+  executor (:func:`~repro.engine.executor.run_execution`) enforces it
+  and aborts the execution, and hung native threads are cut loose and
+  reported as leaked instead of stalling the run;
 * **crash quarantine** — :class:`CrashQuarantine` turns a crashing
   execution into a replayable finding and lets the search continue,
   bounded by ``--max-crashes``;
@@ -33,13 +36,11 @@ from repro.resilience.checkpoint import (
 from repro.resilience.controller import ResilienceController, ResilienceOptions
 from repro.resilience.quarantine import CrashQuarantine
 from repro.resilience.signals import GracefulStop
-from repro.resilience.watchdog import ExecutionWatchdog
 
 __all__ = [
     "FORMAT_VERSION",
     "CheckpointStore",
     "CrashQuarantine",
-    "ExecutionWatchdog",
     "GracefulStop",
     "ResilienceController",
     "ResilienceOptions",

@@ -9,7 +9,7 @@ from repro.engine.executor import (
     run_execution,
 )
 from repro.engine.results import Outcome
-from repro.engine.strategies import explore_bfs, explore_dfs
+from repro.engine.strategies import BfsStrategy, explore_dfs
 from repro.runtime.api import check, pause, yield_now
 from repro.runtime.errors import ExecutionHung, TaskCrash
 from repro.runtime.program import VMProgram
@@ -198,7 +198,7 @@ class TestBFSShortestCounterexample:
 
     def test_bfs_counterexample_not_longer_than_dfs(self):
         program = self.make_two_depth_bugs()
-        bfs = explore_bfs(program, nonfair_policy())
+        bfs = BfsStrategy(program, nonfair_policy()).explore()
         dfs = explore_dfs(program, nonfair_policy())
         assert bfs.found_violation and dfs.found_violation
         assert len(bfs.violations[0].decisions) <= \

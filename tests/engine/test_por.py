@@ -6,8 +6,8 @@ from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
 from repro.engine.strategies import (
     ExplorationLimits,
+    SleepSetStrategy,
     explore_dfs,
-    explore_dfs_sleepsets,
 )
 from repro.runtime.api import check
 from repro.runtime.program import VMProgram
@@ -59,18 +59,18 @@ class TestReduction:
     def test_independent_threads_reduced(self):
         full = explore_dfs(independent_program(), nonfair_policy(),
                            ExecutorConfig(), LIMITS)
-        por = explore_dfs_sleepsets(independent_program(),
-                                    nonfair_policy(), limits=LIMITS)
+        por = SleepSetStrategy(independent_program(),
+                               nonfair_policy(), limits=LIMITS).explore()
         full_terminal = full.outcomes[Outcome.TERMINATED]
         por_terminal = por.outcomes[Outcome.TERMINATED]
         assert por_terminal < full_terminal
         assert por.complete
 
     def test_reduction_grows_with_independence(self):
-        por2 = explore_dfs_sleepsets(independent_program(2),
-                                     nonfair_policy(), limits=LIMITS)
-        por3 = explore_dfs_sleepsets(independent_program(3),
-                                     nonfair_policy(), limits=LIMITS)
+        por2 = SleepSetStrategy(independent_program(2),
+                                nonfair_policy(), limits=LIMITS).explore()
+        por3 = SleepSetStrategy(independent_program(3),
+                                nonfair_policy(), limits=LIMITS).explore()
         full3 = explore_dfs(independent_program(3), nonfair_policy(),
                             ExecutorConfig(), LIMITS)
         saved3 = (full3.outcomes[Outcome.TERMINATED]
@@ -80,7 +80,7 @@ class TestReduction:
 
 class TestSoundness:
     def test_violations_preserved(self):
-        por = explore_dfs_sleepsets(racy_program(), nonfair_policy())
+        por = SleepSetStrategy(racy_program(), nonfair_policy()).explore()
         assert por.found_violation
 
     def test_state_coverage_preserved_on_dining(self):
@@ -89,9 +89,9 @@ class TestSoundness:
         explore_dfs(dining_philosophers(2), fair_policy(),
                     ExecutorConfig(depth_bound=300), LIMITS,
                     coverage=full_cov)
-        explore_dfs_sleepsets(dining_philosophers(2), fair_policy(),
-                              depth_bound=300, limits=LIMITS,
-                              coverage=por_cov)
+        SleepSetStrategy(dining_philosophers(2), fair_policy(),
+                         depth_bound=300, limits=LIMITS,
+                         coverage=por_cov).explore()
         assert full_cov.signatures() == por_cov.signatures()
 
     def test_deadlocks_preserved(self):
@@ -114,8 +114,8 @@ class TestSoundness:
             env.spawn(right, name="R")
 
         program = VMProgram(setup, name="deadlocky")
-        por = explore_dfs_sleepsets(program, nonfair_policy(),
-                                    limits=ExplorationLimits())
+        por = SleepSetStrategy(program, nonfair_policy(),
+                               limits=ExplorationLimits()).explore()
         assert por.found_violation or por.outcomes[Outcome.DEADLOCK] > 0
 
 

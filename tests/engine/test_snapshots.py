@@ -343,3 +343,25 @@ class TestBranchPointCapture:
         assert hits == exploration.executions - 1 == replayed
         # A tree with L leaves has at most L - 1 branching nodes.
         assert 0 < captures <= exploration.executions - 1
+
+
+class TestCostAccounting:
+    def test_capture_and_restore_account_for_the_snapshot_phase(self):
+        # Every perf_counter pair that feeds the "snapshot" phase timer
+        # also feeds the capture or the restore histogram, so their
+        # totals explain the phase total up to float rounding; the 10%
+        # bound just keeps the test honest.  The hot-path bench workload
+        # at a reduced execution cap.
+        observer = Observer()
+        Checker(bounded_buffer_program(items=2, consumers=2),
+                depth_bound=200, preemption_bound=2, snapshot_interval=4,
+                max_executions=120, stop_on_first_violation=False,
+                stop_on_first_divergence=False, handle_signals=False,
+                observer=observer).run()
+        capture = observer.metrics.histogram("snapshot.capture.seconds")
+        restore = observer.metrics.histogram("snapshot.restore.seconds")
+        assert capture.count > 0 and restore.count > 0
+        phase = observer.timers.totals.get("snapshot", 0.0)
+        assert phase > 0
+        assert capture.total + restore.total == pytest.approx(
+            phase, rel=0.10)

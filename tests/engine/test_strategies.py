@@ -1,16 +1,18 @@
 """Search strategy tests: DFS completeness, BFS, random, context bounding."""
 
+import pytest
+
+from repro.checker import Checker
 from repro.core.policies import fair_policy, nonfair_policy
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
 from repro.engine.strategies import (
+    BfsStrategy,
     ExplorationLimits,
-    explore_bfs,
-    explore_context_bounded,
+    IcbStrategy,
+    RandomWalkStrategy,
     explore_dfs,
-    explore_random,
-    iterative_context_bounding,
     next_dfs_guide,
 )
 from repro.engine.results import Decision
@@ -121,33 +123,36 @@ class TestBFS:
         coverage_bfs = CoverageTracker()
         explore_dfs(interleaving_program(1), nonfair_policy(),
                     coverage=coverage_dfs)
-        result = explore_bfs(interleaving_program(1), nonfair_policy(),
-                             coverage=coverage_bfs)
+        result = BfsStrategy(interleaving_program(1), nonfair_policy(),
+                             coverage=coverage_bfs).explore()
         assert result.complete
         assert coverage_bfs.signatures() == coverage_dfs.signatures()
 
     def test_bfs_finds_violation(self):
-        result = explore_bfs(racy_assert_program(), nonfair_policy())
+        result = BfsStrategy(racy_assert_program(),
+                             nonfair_policy()).explore()
         assert result.found_violation
 
 
 class TestRandom:
     def test_runs_requested_executions(self):
-        result = explore_random(interleaving_program(2), nonfair_policy(),
-                                executions=17, seed=3)
+        result = RandomWalkStrategy(interleaving_program(2),
+                                    nonfair_policy(), executions=17,
+                                    seed=3).explore()
         assert result.executions == 17
         assert result.outcomes[Outcome.TERMINATED] == 17
 
     def test_seed_determinism(self):
         coverage = [CoverageTracker(), CoverageTracker()]
         for tracker in coverage:
-            explore_random(interleaving_program(2), nonfair_policy(),
-                           executions=10, seed=9, coverage=tracker)
+            RandomWalkStrategy(interleaving_program(2), nonfair_policy(),
+                               executions=10, seed=9,
+                               coverage=tracker).explore()
         assert coverage[0].signatures() == coverage[1].signatures()
 
     def test_usually_finds_easy_race(self):
-        result = explore_random(racy_assert_program(), nonfair_policy(),
-                                executions=100, seed=1)
+        result = RandomWalkStrategy(racy_assert_program(), nonfair_policy(),
+                                    executions=100, seed=1).explore()
         assert result.found_violation
 
 
@@ -155,39 +160,41 @@ class TestContextBounding:
     def test_smaller_bound_explores_fewer_executions(self):
         sizes = []
         for bound in (0, 1, 2):
-            result = explore_context_bounded(
-                interleaving_program(2), nonfair_policy(), bound,
-                limits=ExplorationLimits(stop_on_first_violation=False),
-            )
+            result = IcbStrategy.create(
+                interleaving_program(2), nonfair_policy(), ExecutorConfig(),
+                ExplorationLimits(stop_on_first_violation=False),
+                bound=bound,
+            ).explore()
             assert result.complete
             sizes.append(result.executions)
         assert sizes[0] < sizes[1] < sizes[2]
         assert sizes[0] == 2  # only the two run-to-completion orders
 
     def test_strategy_name_includes_bound(self):
-        result = explore_context_bounded(interleaving_program(1),
-                                         nonfair_policy(), 1)
+        result = IcbStrategy.create(interleaving_program(1),
+                                    nonfair_policy(), ExecutorConfig(),
+                                    None, bound=1).explore()
         assert result.strategy_name == "cb=1"
 
     def test_negative_bound_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
-            explore_context_bounded(interleaving_program(1),
-                                    nonfair_policy(), -1)
+            IcbStrategy(interleaving_program(1), nonfair_policy(), -1)
+        with pytest.raises(ValueError):
+            Checker(interleaving_program(1), strategy="icb",
+                    preemption_bound=-1)
 
     def test_iterative_stops_at_first_violating_bound(self):
-        results = iterative_context_bounding(
+        results = IcbStrategy(
             racy_assert_program(), nonfair_policy(), 3,
-        )
+        ).sweeps()
         assert results[-1].found_violation
         assert len(results) <= 4
 
     def test_fair_policy_composes_with_bounding(self):
-        result = explore_context_bounded(
-            interleaving_program(2), fair_policy(), 1,
+        result = IcbStrategy.create(
+            interleaving_program(2), fair_policy(),
             ExecutorConfig(depth_bound=100),
-            limits=ExplorationLimits(stop_on_first_violation=False),
-        )
+            ExplorationLimits(stop_on_first_violation=False), bound=1,
+        ).explore()
         assert result.complete
         assert not result.found_divergence

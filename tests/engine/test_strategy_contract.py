@@ -177,6 +177,8 @@ def test_first_failure_matches_dfs(strategy, feature, dfs_failures):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_preemption_bound_is_honoured_or_refused(strategy):
+    with pytest.raises(ValueError, match="preemption bound"):
+        run(strategy, racy(), preemption_bound=-1)
     if strategy in ("por", "dpor"):
         with pytest.raises(UnsupportedConfiguration) as excinfo:
             run(strategy, racy(), preemption_bound=0)

@@ -100,7 +100,6 @@ class TestTable:
     def test_every_strategy_list_is_the_table(self, capsys):
         names = list(STRATEGIES)
         assert cli_choices(capsys, ["check", "pkg.mod:factory"]) == names
-        assert cli_choices(capsys, ["profile", "snapshots"]) == names
         assert list(torture.STRATEGIES) == names
 
     def test_unknown_name_lists_the_table(self):

@@ -70,12 +70,23 @@ class TestCountValidation:
     DINING = ["check", "repro.workloads.dining:dining_philosophers",
               "-a", "2", "--depth-bound", "200"]
 
+    #: The range each flag's value must fall in, when it is not "a
+    #: positive integer".
+    RANGES = {"--preemption-bound": "a non-negative integer",
+              "--execution-budget": "a positive number"}
+
     @pytest.mark.parametrize("flags", [
         ["--snapshot-interval", "0"],
         ["--snapshot-cache", "--snapshot-interval", "0"],
         ["--no-snapshot-cache", "--snapshot-interval", "-2"],
         ["--workers", "0"],
         ["--workers", "-1"],
+        ["--depth-bound", "0"],
+        ["--depth-bound", "-1"],
+        ["--preemption-bound", "-1"],
+        ["--execution-budget", "0"],
+        ["--random-executions", "-3"],
+        ["--max-crashes", "0"],
     ])
     def test_non_positive_count_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -83,13 +94,8 @@ class TestCountValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flags[-2]}" in err
-        assert "must be a positive integer" in err
-
-    def test_profile_snapshots_rejects_zero_interval(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["profile", "snapshots", "--snapshot-interval", "0"])
-        assert exc.value.code == 2
-        assert "must be a positive integer" in capsys.readouterr().err
+        expected = self.RANGES.get(flags[-2], "a positive integer")
+        assert f"must be {expected}" in err
 
     def test_checker_rejects_non_positive_counts(self):
         from repro.checker import Checker
@@ -97,9 +103,16 @@ class TestCountValidation:
 
         for kwargs in ({"snapshot_interval": 0},
                        {"snapshot_interval": 0, "snapshot_cache": False},
-                       {"workers": 0}):
+                       {"workers": 0},
+                       {"depth_bound": 0},
+                       {"depth_bound": -1},
+                       {"execution_budget_seconds": 0},
+                       {"strategy": "random", "random_executions": -3},
+                       {"max_crashes": 0}):
             with pytest.raises(ValueError, match="must be positive"):
                 Checker(dining_philosophers(2), **kwargs)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Checker(dining_philosophers(2), preemption_bound=-1)
 
     def test_snapshot_cache_is_on_by_default(self, tmp_path, capsys):
         import json

@@ -12,8 +12,8 @@ from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
 from repro.engine.strategies import (
     ExplorationLimits,
+    SleepSetStrategy,
     explore_dfs,
-    explore_dfs_sleepsets,
 )
 from repro.obs import (
     Backtrack,
@@ -253,8 +253,8 @@ class TestSleepSetTelemetry:
     def test_por_strategy_reports(self):
         sink = CollectingSink()
         observer = Observer(sink=sink)
-        result = explore_dfs_sleepsets(racy_program(), nonfair_policy(),
-                                       observer=observer)
+        result = SleepSetStrategy(racy_program(), nonfair_policy(),
+                                  observer=observer).explore()
         counters = observer.metrics.to_dict()["counters"]
         assert counters["executions"] == result.executions
         assert len(sink.of_type(ExecutionStarted)) == result.executions

@@ -63,6 +63,9 @@ class TestWorkerCrashes:
             "exhausted retries quarantine the shard"
         assert not result.exploration.complete
         assert any("quarantined" in w for w in result.warnings)
+        # An unsearched subtree is never a PASS.
+        assert not result.ok
+        assert "verdict: FAIL" in result.report()
 
     def test_healthy_shards_still_merge_around_the_quarantine(self):
         result = counted(killer_program(os.getpid()), workers=2).run()

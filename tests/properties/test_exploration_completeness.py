@@ -17,8 +17,8 @@ from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig
 from repro.engine.results import Outcome
 from repro.engine.strategies import (
+    BfsStrategy,
     ExplorationLimits,
-    explore_bfs,
     explore_dfs,
 )
 from repro.statespace.adapter import TransitionSystemProgram
@@ -103,9 +103,9 @@ class TestBFSAgreement:
         dfs = explore_dfs(TransitionSystemProgram(system),
                           nonfair_policy(), ExecutorConfig(), LIMITS,
                           coverage=dfs_cov)
-        bfs = explore_bfs(TransitionSystemProgram(system),
+        bfs = BfsStrategy(TransitionSystemProgram(system),
                           nonfair_policy(), ExecutorConfig(), LIMITS,
-                          coverage=bfs_cov)
+                          coverage=bfs_cov).explore()
         assert dfs.complete and bfs.complete
         assert dfs_cov.signatures() == bfs_cov.signatures()
         # BFS replays one execution per tree *node* (every guide prefix

@@ -1,4 +1,4 @@
-"""Execution watchdog: wall-clock budgets, hung threads, leaked threads."""
+"""Execution budgets: wall-clock budgets, hung threads, leaked threads."""
 
 import threading
 
@@ -14,7 +14,6 @@ from repro.obs import (
     Observer,
     ThreadLeaked,
 )
-from repro.resilience.watchdog import ExecutionWatchdog
 from repro.runtime.errors import ExecutionHung
 from repro.runtime.native import NativeProgram
 from repro.runtime.program import VMProgram
@@ -42,26 +41,6 @@ def hung_native():
         env.spawn(stuck, name="stuck")
 
     return NativeProgram(setup, name="hung-native")
-
-
-class TestExecutionWatchdog:
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExecutionWatchdog(0)
-
-    def test_fresh_watchdog_is_not_expired(self):
-        dog = ExecutionWatchdog(60.0)
-        assert not dog.expired()
-        assert dog.remaining() > 0
-
-    def test_expires_after_the_budget(self):
-        dog = ExecutionWatchdog(1e-6).start()
-        while not dog.expired():
-            pass
-        assert dog.remaining() == 0.0
-
-    def test_describe_names_the_budget(self):
-        assert "2.5s" in ExecutionWatchdog(2.5).describe()
 
 
 class TestExecutorBudget:
