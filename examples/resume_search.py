@@ -40,8 +40,12 @@ INTERRUPT_AFTER = 9
 
 
 def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        interrupt_and_resume(Path(tmp) / "search.ckpt")
+
+
+def interrupt_and_resume(ckpt: Path):
     config = ExecutorConfig(depth_bound=300)
-    ckpt = Path(tempfile.mkdtemp()) / "search.ckpt"
 
     # Reference: the uninterrupted search.
     reference = Checker(dining_philosophers(2), depth_bound=300,

@@ -292,76 +292,6 @@ def fair_wins(cells: Sequence[CoverageCell]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Parallel speedup: the Fig. 5/6 sweep under Checker(workers=N)
-# ----------------------------------------------------------------------
-
-
-def parallel_speedup(
-    program_factory: Callable[[], Program],
-    *,
-    worker_counts: Sequence[int] = (1, 4),
-    strategy: str = "dfs",
-    depth_bound: int = 400,
-    preemption_bound: Optional[int] = None,
-    shard_target: Optional[int] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict[str, object]:
-    """One program's counted sweep at each worker count (docs/parallel.md).
-
-    Every run must agree with the ``workers=1`` baseline on verdict,
-    executions and transitions — that is the determinism contract, so a
-    mismatch raises instead of being reported as a (meaningless) timing.
-    Returns a JSON-ready dict with per-worker-count wall times and the
-    speedup over the serial baseline.
-    """
-    from repro.checker import Checker
-
-    registry = _registry(metrics)
-    baseline: Optional[Dict[str, object]] = None
-    runs: List[Dict[str, object]] = []
-    for workers in worker_counts:
-        with registry.timer(f"parallel.workers{workers}") as timer:
-            result = Checker(
-                program_factory(),
-                strategy=strategy,
-                depth_bound=depth_bound,
-                preemption_bound=preemption_bound,
-                stop_on_first_violation=False,
-                stop_on_first_divergence=False,
-                handle_signals=False,
-                workers=workers,
-                shard_target=shard_target,
-            ).run()
-        _record_search(registry, result.exploration)
-        run = {
-            "workers": workers,
-            "seconds": round(timer.seconds, 3),
-            "ok": result.ok,
-            "executions": result.exploration.executions,
-            "transitions": result.exploration.transitions,
-        }
-        if baseline is None:
-            baseline = run
-        else:
-            for key in ("ok", "executions", "transitions"):
-                if run[key] != baseline[key]:
-                    raise AssertionError(
-                        f"workers={workers} diverged from serial on {key}: "
-                        f"{run[key]!r} != {baseline[key]!r}"
-                    )
-        run["speedup"] = round(float(baseline["seconds"]) / timer.seconds, 2)
-        runs.append(run)
-    return {
-        "program": program_factory().name,
-        "strategy": strategy,
-        "depth_bound": depth_bound,
-        "preemption_bound": preemption_bound,
-        "cpu_count": os.cpu_count(),
-        "runs": runs,
-    }
-
-
-# ----------------------------------------------------------------------
 # Hot path: prefix replay cost with and without the snapshot cache
 # ----------------------------------------------------------------------
 

@@ -4,7 +4,8 @@ The chaos plane has three layers:
 
 * :mod:`repro.chaos.faults` — named fault points, seeded
   :class:`~repro.chaos.faults.FaultPlan` rules, and the process-global
-  injector that the durable-write helpers and worker pool consult;
+  injector that the durable-write helpers and the snapshot cache
+  consult;
 * :mod:`repro.chaos.torture` — a simulated disk that replays every
   prefix of a recorded write sequence to enumerate post-crash states;
 * :mod:`repro.chaos.harness` — the seeded scenario matrix behind

@@ -1,16 +1,16 @@
 """Deterministic fault injection: the chaos plane's core.
 
 Every durability claim in this repo — atomic repro files, resumable
-checkpoints, crash-requeued shards — is a claim about behavior *under
-faults*.  This module makes those faults injectable, deterministic, and
-cheap to leave compiled in:
+checkpoints — is a claim about behavior *under faults*.  This module
+makes those faults injectable, deterministic, and cheap to leave
+compiled in:
 
 * a **fault point** is a named call site (``checkpoint.write``,
-  ``worker.execution``, ``schedule.replace``, ...) that asks the active
+  ``schedule.replace``, ``snapshot.restore``, ...) that asks the active
   injector "does a fault fire here?" before doing the real work;
 * a :class:`FaultRule` arms one fault *kind* at one point, firing on the
   N-th hit of that point (optionally restricted to a context match such
-  as one worker id);
+  as one file path);
 * a :class:`FaultPlan` is an ordered, serializable set of rules — the
   unit the ``repro chaos`` harness sweeps over, derived from a seed so
   every run of the matrix is reproducible bit for bit.
@@ -34,11 +34,6 @@ Fault kinds
                           temp file and the ``os.replace``
 ``enospc``                raise ``OSError(ENOSPC)`` from the fault point
 ``eio``                   raise ``OSError(EIO)`` from the fault point
-``worker-kill``           SIGKILL the current process (parallel workers)
-``worker-stall``          SIGSTOP the current process — a *wedge*, not a
-                          crash: the process is alive but makes no progress
-``clock-stall``           stop the worker's heartbeat clock: the process
-                          keeps running but looks wedged to the coordinator
 ========================  ====================================================
 """
 
@@ -48,11 +43,11 @@ import errno
 import fnmatch
 import os
 import random
-import signal
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+#: Fault kinds: disk misbehavior at atomic-write fault points.
 FAULT_KINDS = (
     "torn-write",
     "short-write",
@@ -60,17 +55,7 @@ FAULT_KINDS = (
     "replace-interrupted",
     "enospc",
     "eio",
-    "worker-kill",
-    "worker-stall",
-    "clock-stall",
 )
-
-#: Fault kinds that model disk misbehavior at atomic-write fault points.
-WRITE_FAULT_KINDS = ("torn-write", "short-write", "fsync-drop",
-                     "replace-interrupted", "enospc", "eio")
-
-#: Fault kinds that model a sick worker process.
-PROCESS_FAULT_KINDS = ("worker-kill", "worker-stall", "clock-stall")
 
 
 class InjectedFault(Exception):
@@ -91,9 +76,8 @@ class FaultRule:
     the 1-based hit count at which the rule first fires and ``times`` how
     many consecutive hits it fires for.  ``match`` restricts firing to
     hits whose context carries the same key/value pairs (e.g.
-    ``{"worker": 0}`` fires only in the original worker 0, never in its
-    respawned replacements).  ``keep`` is the fraction of the payload a
-    torn/short write keeps.
+    ``{"path": "search.ckpt"}`` fires only for that file).
+    ``keep`` is the fraction of the payload a torn/short write keeps.
     """
 
     point: str
@@ -180,9 +164,7 @@ class FaultInjector:
     """Matches fault points against an armed :class:`FaultPlan`.
 
     Thread-safe: fault points may be hit from several threads of one
-    process at once.  Hit counters are per-point and per-process
-    (forked workers inherit a snapshot and count on independently — use
-    ``match={"worker": id}`` for cross-process determinism).
+    process at once.  Hit counters are per point.
     """
 
     def __init__(self, plan: FaultPlan,
@@ -199,7 +181,6 @@ class FaultInjector:
 
         ``enospc``/``eio`` rules raise the mapped ``OSError`` directly —
         the caller exercises its real error path, not a simulation of it.
-        ``worker-kill``/``worker-stall`` deliver the real signal.
         """
         with self._lock:
             hit = self.hits.get(point, 0) + 1
@@ -221,10 +202,6 @@ class FaultInjector:
         if rule.kind == "eio":
             raise OSError(errno.EIO, os.strerror(errno.EIO),
                           str(context.get("path", point)))
-        if rule.kind == "worker-kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if rule.kind == "worker-stall":
-            os.kill(os.getpid(), signal.SIGSTOP)
         return rule
 
     def _match(self, point: str, hit: int,
@@ -266,8 +243,7 @@ class WriteRecorder:
 # ----------------------------------------------------------------------
 # The process-global plane.  ``fault_at`` / ``record_op`` are the two
 # hooks instrumented code calls; both are no-ops (one ``is None`` branch)
-# until ``install`` arms them.  Forked worker processes inherit the
-# installed plane — that is how the parallel pool gets its faults.
+# until ``install`` arms them.
 # ----------------------------------------------------------------------
 
 _injector: Optional[FaultInjector] = None

@@ -10,9 +10,7 @@ invariants the rest of the repo advertises:
   per-outcome counts after crash + resume equal the baseline exactly
   (the checkpoint-at-iteration-start discipline, docs/resilience.md);
 * **degradation, not death** — ENOSPC/EIO during a checkpoint flush
-  fails the flush (counted, warned) and never the search;
-* **wedge/crash recovery** — a SIGKILLed or SIGSTOPped worker is
-  detected, its shard requeued, and the merged totals are unchanged.
+  fails the flush (counted, warned) and never the search.
 
 Every trigger point in the matrix is drawn from the run's seed
 (:meth:`FaultPlan.seeded`), so ``repro chaos --seed N`` reproduces the
@@ -111,20 +109,13 @@ class _Check:
                                 f"      want {want}")
 
 
-def _checker(workdir: Path, *, observer: Optional[Observer] = None,
-             checkpoint: bool = True, **overrides) -> Checker:
+def _checker(workdir: Path, *,
+             observer: Optional[Observer] = None) -> Checker:
     """A small but real checkpointed search (dining philosophers)."""
-    kwargs = dict(
-        strategy="dfs",
-        depth_bound=60,
-        checkpoint_interval=1,
-        handle_signals=False,
-        observer=observer,
-    )
-    if checkpoint:
-        kwargs["checkpoint_path"] = str(workdir / "search.ckpt")
-    kwargs.update(overrides)
-    return Checker(dining_philosophers(2), **kwargs)
+    return Checker(dining_philosophers(2), strategy="dfs", depth_bound=60,
+                   checkpoint_path=str(workdir / "search.ckpt"),
+                   checkpoint_interval=1, handle_signals=False,
+                   observer=observer)
 
 
 def _count_checkpoint_saves(workdir: Path) -> dict:
@@ -232,72 +223,11 @@ def scenario_checkpoint_corrupt_recovery(
                           fired=len(injector.fired))
 
 
-def _parallel_checker(workdir: Path, *, observer: Optional[Observer],
-                      wedge: bool) -> Checker:
-    overrides = dict(workers=2, shard_target=8)
-    if wedge:
-        # Tight liveness clock so a SIGSTOPped worker is detected in
-        # test time rather than operator time.
-        overrides.update(heartbeat_interval=0.05, wedge_timeout=1.0)
-    return _checker(workdir, observer=observer, checkpoint=False,
-                    **overrides)
-
-
-def scenario_worker_kill(seed: int, workdir: Path) -> ScenarioResult:
-    """SIGKILL a worker mid-shard; the shard is requeued, no work lost."""
-    baseline = _totals(
-        _parallel_checker(workdir / "baseline", observer=None,
-                          wedge=False).run())
-    plan = FaultPlan.seeded(seed, "worker.execution", "worker-kill",
-                            name="worker-kill", match={"worker": 0})
-    observer = Observer()
-    check = _Check()
-    with fault_plan(plan):
-        result = _parallel_checker(workdir / "faulted", observer=observer,
-                                   wedge=False).run()
-    check.expect_totals("post-crash merge", _totals(result), baseline)
-    check.expect(
-        observer.metrics.counter("workers.crashed").value >= 1,
-        "worker crash was never observed by the coordinator")
-    return ScenarioResult("worker-kill", plan.describe(),
-                          ok=not check.details, details=check.details,
-                          fired=observer.metrics.counter(
-                              "workers.crashed").value)
-
-
-def scenario_worker_stall(seed: int, workdir: Path) -> ScenarioResult:
-    """SIGSTOP a worker mid-shard; heartbeat silence flags it wedged,
-    the coordinator kills + requeues, merged totals are unchanged."""
-    baseline = _totals(
-        _parallel_checker(workdir / "baseline", observer=None,
-                          wedge=False).run())
-    plan = FaultPlan.seeded(seed, "worker.execution", "worker-stall",
-                            name="worker-stall", match={"worker": 0})
-    observer = Observer()
-    check = _Check()
-    with fault_plan(plan):
-        result = _parallel_checker(workdir / "faulted", observer=observer,
-                                   wedge=True).run()
-    check.expect_totals("post-wedge merge", _totals(result), baseline)
-    check.expect(
-        observer.metrics.counter("workers.wedged").value >= 1,
-        "wedged worker was never detected")
-    check.expect(
-        any("wedged" in w for w in result.warnings),
-        "wedge recovery did not surface a warning")
-    return ScenarioResult("worker-stall", plan.describe(),
-                          ok=not check.details, details=check.details,
-                          fired=observer.metrics.counter(
-                              "workers.wedged").value)
-
-
 SCENARIOS: Dict[str, Callable[[int, Path], ScenarioResult]] = {
     "checkpoint-enospc": scenario_checkpoint_enospc,
     "checkpoint-replace-interrupted":
         scenario_checkpoint_replace_interrupted,
     "checkpoint-corrupt-recovery": scenario_checkpoint_corrupt_recovery,
-    "worker-kill": scenario_worker_kill,
-    "worker-stall": scenario_worker_stall,
 }
 
 

@@ -23,7 +23,6 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -49,6 +48,7 @@ from repro.resilience import (
     ResilienceController,
     ResilienceOptions,
 )
+from repro.runtime.errors import UnsupportedConfiguration
 
 #: Divergence kinds that indicate program errors (as opposed to the
 #: unfair divergences a baseline unfair search wastes time on).
@@ -71,8 +71,7 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         """No safety violation, no deadlock, no crash and no erroneous
-        divergence.  A crash stop fails too: a parallel search reports
-        one when it quarantines a shard whose subtree went unsearched."""
+        divergence."""
         if self.exploration.found_violation:
             return False
         if (self.exploration.crashes
@@ -169,15 +168,9 @@ class Checker:
         max_crashes: Optional[int] = None,
         quarantine_dir: Optional[str] = None,
         handle_signals: bool = True,
-        workers: int = 1,
-        shard_target: Optional[int] = None,
         snapshot_cache: bool = True,
         snapshot_interval: int = ExecutorConfig.snapshot_interval,
-        heartbeat_interval: float = 0.5,
-        wedge_timeout: Optional[float] = 30.0,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if snapshot_interval < 1:
             raise ValueError("snapshot interval must be positive")
         # Out-of-range bounds would run a search over no work and PASS.
@@ -192,17 +185,13 @@ class Checker:
             raise ValueError("random executions must be positive")
         if max_crashes is not None and max_crashes < 1:
             raise ValueError("max crashes must be positive")
+        if max_executions is not None and max_executions < 1:
+            raise ValueError("max executions must be positive")
+        if max_seconds is not None and max_seconds <= 0:
+            raise ValueError("max seconds must be positive")
+        if k_yield < 1:
+            raise ValueError("k_yield must be positive")
         self.program = program
-        #: Worker processes for the sharded search (1 = serial, today's
-        #: behavior; see docs/parallel.md).
-        self.workers = workers
-        self.shard_target = shard_target
-        #: Seconds between worker liveness heartbeats and the silence
-        #: threshold after which a worker counts as *wedged* (SIGSTOP,
-        #: livelock) and is killed + its shard requeued.  ``None``
-        #: disables wedge detection (docs/parallel.md).
-        self.heartbeat_interval = heartbeat_interval
-        self.wedge_timeout = wedge_timeout
         self.fairness = fairness
         #: Optional :class:`repro.obs.Observer`; None (the default) keeps
         #: the exploration hot path free of telemetry work.
@@ -244,27 +233,6 @@ class Checker:
             max_crashes=max_crashes,
         )
 
-    def _make_search(self, resilience):
-        """The search for this checker's configuration: the strategy, or
-        the parallel coordinator that shards it (which answers
-        ``explore()`` and ``load_state_dict()`` the same way)."""
-        common = dict(seed=self.seed, executions=self.random_executions,
-                      coverage=self.coverage, observer=self.observer,
-                      resilience=resilience)
-        if self.workers > 1:
-            from repro.parallel import ParallelCoordinator
-
-            return ParallelCoordinator(
-                self.program, self.policy_factory, self.config, self.limits,
-                strategy=self.strategy, workers=self.workers,
-                shard_target=self.shard_target,
-                resilience_options=self.resilience_options,
-                heartbeat_interval=self.heartbeat_interval,
-                wedge_timeout=self.wedge_timeout, **common)
-        return strategy_class(self.strategy).create(
-            self.program, self.policy_factory, self.config, self.limits,
-            **common)
-
     def run(self, *, resume_from: Optional[str] = None) -> CheckResult:
         """Run the search; ``resume_from`` continues a saved checkpoint.
 
@@ -272,10 +240,6 @@ class Checker:
         quarantine) the search also converts the first SIGINT/SIGTERM
         into a graceful stop: a final checkpoint is flushed and the
         partial results come back with ``stop_reason="interrupted"``.
-
-        With ``workers > 1`` the schedule space is sharded across a pool
-        of worker processes (docs/parallel.md); counted sweeps merge to
-        the same totals and verdicts as a serial run.
         """
         options = self.resilience_options
         controller = None
@@ -288,25 +252,28 @@ class Checker:
                 observer=self.observer,
                 strategy=self.strategy,
             )
-        search = self._make_search(controller)
+        search = strategy_class(self.strategy).create(
+            self.program, self.policy_factory, self.config, self.limits,
+            seed=self.seed, executions=self.random_executions,
+            coverage=self.coverage, observer=self.observer,
+            resilience=controller)
         resume_warnings: List[str] = []
         if resume_from is not None:
             payload, resume_warnings = self._load_resume(resume_from)
             search.load_state_dict(payload["state"])
 
-        with self._search_span():
-            if controller is not None and options.handle_signals:
-                with GracefulStop() as stop:
-                    controller.attach_stop(stop)
-                    exploration = search.explore()
-            else:
+        if controller is not None and options.handle_signals:
+            with GracefulStop() as stop:
+                controller.attach_stop(stop)
                 exploration = search.explore()
+        else:
+            exploration = search.explore()
 
         return CheckResult(
             program_name=self.program.name,
             exploration=exploration,
-            warnings=self._build_warnings(
-                exploration, extra=resume_warnings + list(search.warnings)),
+            warnings=self._build_warnings(exploration,
+                                          extra=resume_warnings),
         )
 
     def _load_resume(self, resume_from: str):
@@ -314,11 +281,15 @@ class Checker:
 
         A truncated or corrupt checkpoint is quarantined and the
         previous rotation snapshot loaded instead (``checkpoint.
-        recovered`` event + a result warning); only a checkpoint with
-        *no* loadable snapshot at all raises.
+        recovered`` event + a result warning).  A checkpoint with *no*
+        loadable snapshot, or one recorded for another program, raises
+        :class:`UnsupportedConfiguration` (the CLI exits 2).
         """
         store = CheckpointStore(resume_from)
-        payload, recovered, quarantined = store.load_or_recover()
+        try:
+            payload, recovered, quarantined = store.load_or_recover()
+        except ValueError as exc:
+            raise UnsupportedConfiguration(str(exc)) from exc
         warnings: List[str] = []
         if recovered:
             note = (f"checkpoint {resume_from} was corrupt; resumed from "
@@ -332,20 +303,11 @@ class Checker:
                     str(quarantined) if quarantined else None)
         recorded = payload.get("program")
         if recorded not in (None, self.program.name):
-            raise ValueError(
+            raise UnsupportedConfiguration(
                 f"checkpoint was recorded for program {recorded!r}, "
                 f"got {self.program.name!r}"
             )
         return payload, warnings
-
-    def _search_span(self):
-        """Wall-clock span around the whole search (Chrome-trace export
-        root; a no-op context without an observer)."""
-        if self.observer is None:
-            return nullcontext()
-        return self.observer.spans.measure(
-            f"search {self.program.name}", "search",
-            strategy=self.strategy, workers=self.workers)
 
     def _build_warnings(self, exploration: ExplorationResult,
                         extra: Optional[List[str]] = None) -> List[str]:

@@ -144,15 +144,15 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preemption-bound", type=_non_negative_int,
                         default=None,
                         help="context bound (max preemptions per execution)")
-    parser.add_argument("--k-yield", type=int, default=1,
+    parser.add_argument("--k-yield", type=_positive_int, default=1,
                         help="process every k-th yield (soundness knob)")
-    parser.add_argument("--max-executions", type=int, default=None,
+    parser.add_argument("--max-executions", type=_positive_int, default=None,
                         metavar="N",
                         help="execution budget of the whole search, a "
                              "resumed checkpoint's executions included "
                              "(rerun with --resume and a larger N to "
                              "search in slices)")
-    parser.add_argument("--max-seconds", type=float, default=None)
+    parser.add_argument("--max-seconds", type=_positive_float, default=None)
     parser.add_argument("--random-executions", type=_positive_int,
                         default=200)
     parser.add_argument("--seed", type=int, default=0)
@@ -184,10 +184,6 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                                 "sequence prefixes and write folded stacks "
                                 "(flamegraph.pl / speedscope input; "
                                 "docs/profiling.md)")
-    telemetry.add_argument("--chrome-trace", metavar="FILE",
-                           help="write search/shard span timelines as "
-                                "Chrome trace-event JSON (open in Perfetto "
-                                "or chrome://tracing)")
     resilience = parser.add_argument_group(
         "resilience", "long-search armor (docs/resilience.md)")
     resilience.add_argument("--checkpoint", metavar="PATH",
@@ -229,23 +225,13 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
                                   "(default %(default)s: every branch "
                                   "point; larger = fewer snapshots, more "
                                   "re-execution)")
-    parallel = parser.add_argument_group(
-        "parallel", "sharded multi-process search (docs/parallel.md)")
-    parallel.add_argument("--workers", type=_positive_int, default=1,
-                          metavar="N",
-                          help="worker processes for the search (1 = serial; "
-                               "merged totals are worker-count independent)")
-    parallel.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="target shard count for the parallel plan "
-                               "(default 16; more shards = finer-grained "
-                               "load balancing)")
 
 
 def _make_observer(options: argparse.Namespace):
     """Build an Observer when any telemetry flag was given, else None."""
     wants_observer = (options.stats or options.metrics_json
                       or options.trace_out or options.progress
-                      or options.profile_out or options.chrome_trace)
+                      or options.profile_out)
     if not wants_observer:
         return None
     from repro.obs import JsonlTraceWriter, Observer, ProgressReporter
@@ -281,8 +267,6 @@ def _make_checker(program: Program, options: argparse.Namespace) -> Checker:
         execution_budget_seconds=options.execution_budget,
         max_crashes=options.max_crashes,
         quarantine_dir=options.quarantine_dir,
-        workers=options.workers,
-        shard_target=options.shards,
         snapshot_cache=options.snapshot_cache,
         snapshot_interval=options.snapshot_interval,
     )
@@ -319,18 +303,6 @@ def _report_and_save(program: Program, checker: Checker,
                 observer.profiler.to_folded(), encoding="utf-8")
             print(f"decision profile (folded stacks) written to "
                   f"{options.profile_out}")
-        if options.chrome_trace:
-            from repro.obs.profile import write_chrome_trace
-
-            write_chrome_trace(
-                options.chrome_trace, observer.spans.spans,
-                timers=observer.timers.to_dict(),
-                lane_names=observer.spans.lane_names,
-                metadata={"program": program.name,
-                          "strategy": checker.strategy,
-                          "workers": checker.workers},
-            )
-            print(f"chrome trace written to {options.chrome_trace}")
     record = result.violation or result.divergence
     if options.save_repro and record is not None:
         path = save_schedule(

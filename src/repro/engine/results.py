@@ -166,11 +166,10 @@ class ExplorationResult:
         elif outcome is Outcome.ABORTED:
             self.aborted_executions += 1
 
-    def absorb(self, other: "ExplorationResult",
-               keep: Optional[int] = None) -> None:
-        """Fold in a search that ran after this one (the next ICB sweep
-        or shard), keeping at most ``keep`` records of each kind (None:
-        all).  Completeness, stop reason and coverage are the caller's."""
+    def absorb(self, other: "ExplorationResult") -> None:
+        """Fold in a search that ran after this one (the next ICB
+        sweep).  Completeness, stop reason and coverage are the
+        caller's."""
         executions_before = self.executions
         self.executions += other.executions
         self.transitions += other.transitions
@@ -179,8 +178,7 @@ class ExplorationResult:
                              (self.deadlocks, other.deadlocks),
                              (self.divergences, other.divergences),
                              (self.crashes, other.crashes)):
-            mine.extend(theirs if keep is None
-                        else theirs[:max(0, keep - len(mine))])
+            mine.extend(theirs)
         self.aborted_executions += other.aborted_executions
         self.nonterminating_executions += other.nonterminating_executions
         self.wall_seconds += other.wall_seconds

@@ -44,11 +44,10 @@ The cache is one stack of snapshots along the most recent execution's
 path.  Every snapshot on it is a prefix of the one above it, so a lookup
 pops the entries that are not a prefix of the new guide and returns the
 top: after the pops, the top is the deepest cached prefix.  DFS-ordered
-strategies (DFS, sleep-set POR, each ICB sweep, each parallel prefix
-shard) visit guides in lexicographic order, so a popped entry could
-never have matched a later guide.  BFS is lexicographic only within a
-level, so it gives up entries a deeper level could have used.  See
-``docs/performance.md``.
+strategies (DFS, sleep-set POR, each ICB sweep) visit guides in
+lexicographic order, so a popped entry could never have matched a later
+guide.  BFS is lexicographic only within a level, so it gives up entries
+a deeper level could have used.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -98,10 +97,9 @@ class PrefixSnapshot(NamedTuple):
 class PrefixSnapshotCache:
     """A stack of :class:`PrefixSnapshot` entries along one path.
 
-    One cache belongs to one strategy (or one ICB sweep, or one parallel
-    shard) — entries are only valid under the exact executor
-    configuration they were captured with, so caches are never shared
-    across configurations.
+    One cache belongs to one strategy (or one ICB sweep) — entries are
+    only valid under the exact executor configuration they were
+    captured with, so caches are never shared across configurations.
 
     Beside the stack the cache keeps the decision indices of the path
     the entries lie on, filled in lazily up to the entry being tested,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.engine.coverage import CoverageTracker
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
@@ -29,6 +29,7 @@ from repro.resilience.checkpoint import (
     exploration_from_state,
     exploration_to_state,
 )
+from repro.runtime.errors import UnsupportedConfiguration
 
 
 @dataclass
@@ -181,8 +182,8 @@ class SearchStrategy:
 
     The class is the strategy's row in
     :data:`repro.engine.strategies.STRATEGIES`: the attributes and
-    class methods below are everything callers need to build, shard,
-    label and replay it.
+    class methods below are everything callers need to build, label
+    and replay it.
     """
 
     #: Stable name recorded in checkpoints (must match on resume), and
@@ -191,44 +192,21 @@ class SearchStrategy:
     #: Whether draining the frontier means the search was exhaustive
     #: (random search finishes its budget without being "complete").
     exhaustive = True
-    #: How a parallel search partitions it: ``"prefix"`` (decision-prefix
-    #: subtrees), ``"range"`` (walk-index ranges) or None (one shard).
-    split: Optional[str] = "prefix"
-    #: The shard planner's probes are executions of the search itself
-    #: (BFS runs one execution per tree node), so they count.
-    counts_probes = False
     #: Per-execution reducer hook class, built from the guide; it steers
     #: each execution in place of a plain :class:`GuidedChooser`, so the
     #: recorded decisions index the options it leaves, and replays must
     #: use it too (None: they index every schedulable option).
     reducer: Optional[type] = None
-    #: Notes for the verdict report (the parallel coordinator has some).
-    warnings: Sequence[str] = ()
 
     @classmethod
-    def create(cls, program, policy_factory, config, limits, *, shard=None,
+    def create(cls, program, policy_factory, config, limits, *,
                bound: Optional[int] = None, seed: int = 0,
                executions: int = 0, **common) -> "SearchStrategy":
-        """Build the strategy from a checker's settings, confined to one
-        parallel ``shard`` and, for ICB, to the sweep at ``bound``.
-        ``seed`` and ``executions`` are the random-search budget;
-        ``common`` the coverage/listener/observer/resilience keywords."""
-        prefix = list(shard.prefix) if shard is not None else None
-        return cls(program, policy_factory, config, limits, prefix=prefix,
-                   **common)
-
-    @classmethod
-    def configure(cls, config):
-        """The executor configuration the strategy runs under, or
-        :class:`~repro.runtime.errors.UnsupportedConfiguration` for one
-        it cannot honour."""
-        return config
-
-    @classmethod
-    def phases(cls, config) -> List[Optional[int]]:
-        """The preemption bounds of the searches run one after another;
-        ``[None]`` is one search under ``config``'s own bound."""
-        return [None]
+        """Build the strategy from a checker's settings and, for ICB,
+        confine it to the sweep at ``bound``.  ``seed`` and
+        ``executions`` are the random-search budget; ``common`` the
+        coverage/listener/observer/resilience keywords."""
+        return cls(program, policy_factory, config, limits, **common)
 
     def __init__(
         self,
@@ -297,7 +275,7 @@ class SearchStrategy:
         """Restore a :meth:`state_dict` snapshot (before ``explore``)."""
         recorded = state.get("strategy")
         if recorded != self.name:
-            raise ValueError(
+            raise UnsupportedConfiguration(
                 f"checkpoint was written by strategy {recorded!r}, "
                 f"cannot resume it with {self.name!r}"
             )

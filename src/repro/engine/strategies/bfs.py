@@ -37,7 +37,6 @@ class BfsStrategy(SearchStrategy):
     """
 
     name = "bfs"
-    counts_probes = True
 
     def __init__(
         self,
@@ -46,7 +45,6 @@ class BfsStrategy(SearchStrategy):
         config: Optional[ExecutorConfig] = None,
         limits: Optional[ExplorationLimits] = None,
         *,
-        prefix: Optional[List[int]] = None,
         coverage: Optional[CoverageTracker] = None,
         listener: Optional[Callable[[ExecutionResult], None]] = None,
         observer=None,
@@ -62,10 +60,7 @@ class BfsStrategy(SearchStrategy):
             observer=observer,
             resilience=resilience,
         )
-        # A prefix roots the level-order walk at one subtree node; the
-        # queue can never leave the subtree because children only extend
-        # their parent's guide.
-        self.queue: deque = deque([list(prefix or [])])
+        self.queue: deque = deque([[]])
         #: Prefix-snapshot cache.  Within one level BFS runs its guides
         #: in lexicographic order, so siblings share their parent's
         #: cached prefix; the cache keeps no entry across subtrees.

@@ -69,25 +69,21 @@ class IcbStrategy(SearchStrategy):
     back here, so checkpoints taken mid-sweep capture the whole sweep
     history plus the in-flight DFS frontier.  A checker's preemption
     bound is the ceiling of the sweeps (:data:`DEFAULT_CEILING` when it
-    sets none); each sweep prefix-shards like a DFS.
+    sets none).
     """
 
     name = "icb"
 
     @classmethod
-    def phases(cls, config) -> List[Optional[int]]:
-        return list(range(_ceiling(config) + 1))
-
-    @classmethod
-    def create(cls, program, policy_factory, config, limits, *, shard=None,
+    def create(cls, program, policy_factory, config, limits, *,
                bound=None, seed=0, executions=0, **common):
         """The whole sweep sequence, or with ``bound`` one sweep of it: a
-        DFS under that bound, confined to ``shard``."""
+        DFS under that bound."""
         if bound is not None:
             return DfsStrategy.create(
                 program, policy_factory,
                 dataclasses.replace(config, preemption_bound=bound), limits,
-                shard=shard, strategy_name=f"cb={bound}", **common)
+                strategy_name=f"cb={bound}", **common)
         return cls(program, policy_factory, _ceiling(config),
                    dataclasses.replace(config, preemption_bound=None),
                    limits, stop_on_violation=limits.stop_on_first_violation,

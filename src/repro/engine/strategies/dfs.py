@@ -11,12 +11,6 @@ generate.
 The frontier is a single guide plus the random-completion RNG, which makes
 DFS the cheapest strategy to checkpoint: a snapshot is a few dozen
 integers regardless of how deep the search is.
-
-A ``prefix`` confines the search to one subtree of the choice tree: the
-first ``len(prefix)`` decisions are pinned and backtracking stops as soon
-as the next guide would have to change one of them.  Running the shards of
-a prefix partition in lexicographic order reproduces the exact execution
-sequence of an unconfined DFS (see :mod:`repro.parallel.shard`).
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ class DfsStrategy(SearchStrategy):
         pruner: Optional[Pruner] = None,
         listener: Optional[Callable[[ExecutionResult], None]] = None,
         strategy_name: str = "dfs",
-        prefix: Optional[List[int]] = None,
         observer=None,
         resilience=None,
     ) -> None:
@@ -75,9 +68,7 @@ class DfsStrategy(SearchStrategy):
         )
         self.pruner = pruner
         self._label = strategy_name
-        #: Pinned decisions confining the search to one subtree.
-        self.prefix: List[int] = list(prefix or [])
-        self.guide: Optional[List[int]] = list(self.prefix)
+        self.guide: Optional[List[int]] = []
         self.completion_rng = random.Random(self.config.seed)
         #: Prefix-snapshot cache (None unless enabled and the program
         #: supports it).
@@ -108,11 +99,6 @@ class DfsStrategy(SearchStrategy):
 
     def _advance(self, record: ExecutionResult) -> None:
         self.guide = next_dfs_guide(record.decisions)
-        if self.guide is not None and len(self.guide) <= len(self.prefix):
-            # Backtracking reached the pinned prefix: the subtree is
-            # exhausted (every longer guide shares the prefix, because a
-            # guided replay fixes those decisions).
-            self.guide = None
 
     def _announce(self) -> None:
         if self.observer is not None and self.guide is not None:
@@ -122,13 +108,11 @@ class DfsStrategy(SearchStrategy):
     def _frontier_state(self) -> dict:
         return {
             "guide": self.guide,
-            "prefix": self.prefix,
             "completion_rng": freeze_rng(self.completion_rng),
         }
 
     def _load_frontier(self, state: dict) -> None:
         self.guide = state.get("guide", [])
-        self.prefix = list(state.get("prefix", []))
         rng_state = state.get("completion_rng")
         if rng_state is not None:
             thaw_rng(self.completion_rng, rng_state)

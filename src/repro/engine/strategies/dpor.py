@@ -417,16 +417,6 @@ class DporStrategy(SearchStrategy):
     """
 
     name = "dpor"
-    #: Backtrack points are discovered dynamically — the subtree below a
-    #: prefix depends on races seen elsewhere, so a prefix partition is
-    #: not exhaustive.  A parallel search runs it as one shard: no
-    #: speedup, but checkpointing, worker supervision and identical
-    #: totals at any worker count still apply.
-    split = None
-
-    @classmethod
-    def configure(cls, config):
-        return reducer_config(cls.name, config, None)
 
     def __init__(
         self,
@@ -436,7 +426,6 @@ class DporStrategy(SearchStrategy):
         limits: Optional[ExplorationLimits] = None,
         *,
         depth_bound: Optional[int] = None,
-        prefix: Optional[List[int]] = None,
         coverage: Optional[CoverageTracker] = None,
         listener: Optional[Callable[[ExecutionResult], None]] = None,
         observer=None,
@@ -453,11 +442,6 @@ class DporStrategy(SearchStrategy):
             observer=observer,
             resilience=resilience,
         )
-        if prefix:
-            raise ValueError(
-                "source-DPOR cannot be confined to a decision prefix: "
-                "backtrack points are discovered dynamically and may land "
-                "inside any prefix; parallel plans use a single shard")
         self.config = reducer_config(self.name, config, depth_bound)
         self.on_final_state = on_final_state
         #: One dict per node of the current exploration path.

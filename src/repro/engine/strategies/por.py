@@ -170,23 +170,18 @@ class SleepSetStrategy(DfsStrategy):
 
     Plain DFS with the :class:`SleepSets` hook: the frontier is the DFS
     guide, and the sleep sets are recomputed from it on every execution,
-    so they need no checkpoint state of their own.  A prefix partition of
-    the reduced tree is exact, like plain DFS.
+    so they need no checkpoint state of their own.
     """
 
     name = "por"
     reducer = SleepSets
 
-    @classmethod
-    def configure(cls, config):
-        return reducer_config(cls.name, config, None)
-
     def __init__(self, program: Program, policy_factory: PolicyFactory,
                  config: Optional[ExecutorConfig] = None,
                  limits: Optional[ExplorationLimits] = None, *,
                  depth_bound: Optional[int] = None, **kwargs) -> None:
-        """``kwargs`` are :class:`DfsStrategy`'s (prefix, coverage,
-        listener, observer, resilience)."""
+        """``kwargs`` are :class:`DfsStrategy`'s (coverage, listener,
+        observer, resilience)."""
         super().__init__(program, policy_factory,
                          reducer_config(self.name, config, depth_bound),
                          limits, strategy_name="dfs+sleepsets", **kwargs)

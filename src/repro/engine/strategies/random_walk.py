@@ -10,10 +10,8 @@ no systematic coverage guarantee, which is the point of comparison.
 Walk *i* of a run with seed *s* draws from ``random.Random(f"{s}:{i}")``
 rather than one continuous RNG stream.  String seeding hashes through
 SHA-512, so the derived generators are stable across processes and Python
-versions — which makes the search *partitionable*: any split of the index
-range ``[start, start + executions)`` across workers replays the exact
-executions a serial run would (see :mod:`repro.parallel`).  The frontier
-is just the next index, so checkpoints are a few integers.
+versions.  The frontier is just the next index, so checkpoints are a few
+integers.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ def walk_rng(seed, index: int) -> random.Random:
     """The RNG for walk ``index`` of a random search with ``seed``.
 
     Derived, not streamed: every walk's generator is a pure function of
-    ``(seed, index)``, so walks can run in any order, on any worker, and
-    still make the choices a serial run would have made.
+    ``(seed, index)``, so a resumed search makes the choices an
+    uninterrupted one would have made.
     """
     return random.Random(f"{seed}:{index}")
 
@@ -46,15 +44,10 @@ class RandomWalkStrategy(SearchStrategy):
     #: Random search never exhausts the tree; draining the budget does
     #: not make the result "complete".
     exhaustive = False
-    split = "range"
 
     @classmethod
-    def create(cls, program, policy_factory, config, limits, *, shard=None,
+    def create(cls, program, policy_factory, config, limits, *,
                bound=None, seed=0, executions=0, **common):
-        """A range shard runs its slice of the walk indices."""
-        if shard is not None:
-            executions = shard.count
-            common["start"] = shard.start
         return cls(program, policy_factory, config, limits,
                    executions=executions, seed=seed, **common)
 
@@ -67,7 +60,6 @@ class RandomWalkStrategy(SearchStrategy):
         *,
         executions: int = 100,
         seed: int = 0,
-        start: int = 0,
         coverage: Optional[CoverageTracker] = None,
         listener: Optional[Callable[[ExecutionResult], None]] = None,
         observer=None,
@@ -85,21 +77,14 @@ class RandomWalkStrategy(SearchStrategy):
         )
         self.total = executions
         self.seed = seed
-        #: First walk index of this (possibly sharded) budget slice.
-        self.start = start
-        self.next_index = start
-        self.end = start + executions
+        self.next_index = 0
 
     def strategy_label(self) -> str:
         return f"random(n={self.total})"
 
-    @property
-    def remaining(self) -> int:
-        return max(0, self.end - self.next_index)
-
     # ------------------------------------------------------------------
     def _has_work(self) -> bool:
-        return self.next_index < self.end
+        return self.next_index < self.total
 
     def _run_once(self) -> ExecutionResult:
         rng = walk_rng(self.seed, self.next_index)
@@ -120,8 +105,6 @@ class RandomWalkStrategy(SearchStrategy):
     def _frontier_state(self) -> dict:
         return {
             "next_index": self.next_index,
-            "start": self.start,
-            "end": self.end,
             "total": self.total,
             "seed": self.seed,
         }
@@ -130,12 +113,8 @@ class RandomWalkStrategy(SearchStrategy):
         self.total = state.get("total", self.total)
         self.seed = state.get("seed", self.seed)
         if "next_index" in state:
-            self.start = state.get("start", 0)
-            self.end = state.get("end", self.start + self.total)
             self.next_index = state["next_index"]
         else:
-            # Pre-sharding checkpoint shape ({remaining, total, rng}): the
-            # walk indices left are the tail of [0, total).
-            self.start = 0
-            self.end = self.total
+            # Oldest checkpoint shape ({remaining, total, rng}): the walk
+            # indices left are the tail of [0, total).
             self.next_index = self.total - state.get("remaining", 0)

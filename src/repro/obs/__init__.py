@@ -37,12 +37,8 @@ from repro.obs.events import (
     PrefixRestored,
     SchedulingDecision,
     SearchInterrupted,
-    ShardFinished,
-    ShardStarted,
     ThreadLeaked,
     ViolationFound,
-    WorkerCrashed,
-    WorkerWedged,
     event_from_dict,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -73,11 +69,7 @@ __all__ = [
     "Histogram",
     "IcbSweep",
     "SearchInterrupted",
-    "ShardFinished",
-    "ShardStarted",
     "ThreadLeaked",
-    "WorkerCrashed",
-    "WorkerWedged",
     "JsonlTraceWriter",
     "MetricsRegistry",
     "MultiSink",

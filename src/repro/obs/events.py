@@ -223,42 +223,6 @@ class SearchInterrupted(Event):
 
 
 @dataclass(frozen=True)
-class ShardStarted(Event):
-    """A worker picked up one shard of a parallel search."""
-
-    type: ClassVar[str] = "shard.started"
-
-    shard: int
-    worker: int
-    description: str  # the shard's prefix or walk range
-
-
-@dataclass(frozen=True)
-class ShardFinished(Event):
-    """One shard of a parallel search was merged into the totals."""
-
-    type: ClassVar[str] = "shard.finished"
-
-    shard: int
-    worker: int
-    executions: int
-    transitions: int
-    found_violation: bool
-
-
-@dataclass(frozen=True)
-class WorkerCrashed(Event):
-    """A worker process died mid-shard; the shard was requeued or
-    quarantined (docs/parallel.md)."""
-
-    type: ClassVar[str] = "worker.crashed"
-
-    worker: int
-    shard: int  # -1 when the worker was idle
-    requeued: bool
-
-
-@dataclass(frozen=True)
 class FaultInjected(Event):
     """The chaos plane fired one injected fault (docs/resilience.md)."""
 
@@ -267,19 +231,6 @@ class FaultInjected(Event):
     point: str  # fault-point name, e.g. "checkpoint.write"
     kind: str  # fault kind, e.g. "torn-write"
     hit: int  # 1-based hit count of the point when it fired
-
-
-@dataclass(frozen=True)
-class WorkerWedged(Event):
-    """A worker stopped heartbeating (SIGSTOP, livelock) and was killed;
-    its shard was requeued like a crashed worker's."""
-
-    type: ClassVar[str] = "worker.wedged"
-
-    worker: int
-    shard: int  # -1 when the worker was idle
-    silent_seconds: float  # time since its last heartbeat
-    requeued: bool
 
 
 @dataclass(frozen=True)
@@ -324,11 +275,7 @@ EVENT_TYPES: Dict[str, type] = {
         CrashQuarantined,
         ThreadLeaked,
         SearchInterrupted,
-        ShardStarted,
-        ShardFinished,
-        WorkerCrashed,
         FaultInjected,
-        WorkerWedged,
         CheckpointRecovered,
         CheckpointWriteFailed,
     )

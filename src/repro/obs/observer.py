@@ -50,12 +50,8 @@ from repro.obs.events import (
     PrefixRestored,
     SchedulingDecision,
     SearchInterrupted,
-    ShardFinished,
-    ShardStarted,
     ThreadLeaked,
     ViolationFound,
-    WorkerCrashed,
-    WorkerWedged,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
@@ -73,7 +69,6 @@ class Observer:
         timers: Optional[PhaseTimers] = None,
         progress: Optional[ProgressReporter] = None,
         profiler=None,
-        spans=None,
     ) -> None:
         self.sink = sink
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -84,11 +79,6 @@ class Observer:
         #: prefixes (docs/profiling.md).  None keeps the inner loop on a
         #: single ``is not None`` branch per touch point.
         self.profiler = profiler
-        #: :class:`repro.obs.profile.SpanRecorder` collecting wall-clock
-        #: spans (search lifetime, shard lifecycle, worker activity) for
-        #: the Chrome-trace export.  Created lazily on first access so a
-        #: bare Observer stays allocation-light.
-        self._spans = spans
         self._execution = -1  # index of the execution in flight
 
         # Pre-bound hot-path instruments (no dict lookup per transition).
@@ -104,19 +94,6 @@ class Observer:
         self._steps_per_execution = m.histogram("steps_per_execution")
         self._yields_per_execution = m.histogram("yields_per_execution")
         self._priority_size = m.histogram("priority_relation_size")
-
-    @property
-    def spans(self):
-        """The :class:`~repro.obs.profile.SpanRecorder` (lazily created)."""
-        if self._spans is None:
-            from repro.obs.profile.spans import SpanRecorder
-            self._spans = SpanRecorder()
-        return self._spans
-
-    @property
-    def has_spans(self) -> bool:
-        """True when any span was recorded (without forcing creation)."""
-        return self._spans is not None and len(self._spans) > 0
 
     # ------------------------------------------------------------------
     # exploration lifecycle
@@ -344,40 +321,6 @@ class Observer:
     def search_interrupted(self, signal: str) -> None:
         if self.sink is not None:
             self.sink.emit(SearchInterrupted(signal=signal))
-
-    # ------------------------------------------------------------------
-    # parallel-search hooks (called from the coordinator)
-    # ------------------------------------------------------------------
-    def shard_started(self, shard: int, worker: int,
-                      description: str) -> None:
-        if self.sink is not None:
-            self.sink.emit(ShardStarted(shard=shard, worker=worker,
-                                        description=description))
-
-    def shard_finished(self, shard: int, worker: int, executions: int,
-                       transitions: int, found_violation: bool) -> None:
-        self.metrics.counter("shards.completed").inc()
-        if self.sink is not None:
-            self.sink.emit(ShardFinished(
-                shard=shard, worker=worker, executions=executions,
-                transitions=transitions, found_violation=found_violation,
-            ))
-
-    def worker_crashed(self, worker: int, shard: int,
-                       requeued: bool) -> None:
-        self.metrics.counter("workers.crashed").inc()
-        if self.sink is not None:
-            self.sink.emit(WorkerCrashed(worker=worker, shard=shard,
-                                         requeued=requeued))
-
-    def worker_wedged(self, worker: int, shard: int,
-                      silent_seconds: float, requeued: bool) -> None:
-        """A heartbeat-silent worker was killed and its shard requeued."""
-        self.metrics.counter("workers.wedged").inc()
-        if self.sink is not None:
-            self.sink.emit(WorkerWedged(worker=worker, shard=shard,
-                                        silent_seconds=silent_seconds,
-                                        requeued=requeued))
 
     # ------------------------------------------------------------------
     # coverage hooks

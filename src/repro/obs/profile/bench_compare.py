@@ -2,11 +2,11 @@
 
 ``repro bench compare BASELINE.json CURRENT.json`` guards the BENCH
 trajectory: nothing else stops a future change from silently regressing
-the hotpath's 7× replayed-steps win or the parallel speedup.  The
+the hotpath's 7× replayed-steps win or DPOR's reduction.  The
 comparator understands the shared BENCH schema (top-level ``bench`` /
 ``entries``; entries keyed by ``(program, strategy)``; runs keyed by
-their identity field — ``snapshot_cache`` for hotpath, ``workers`` for
-parallel) and applies per-metric direction rules:
+their identity field, ``snapshot_cache`` for hotpath) and applies
+per-metric direction rules:
 
 * ``seconds`` — lower is better, compared with a relative noise
   tolerance (default ±20%);
@@ -57,20 +57,19 @@ _INFO = ("replayed_steps", "restored_steps", "snapshot_hits",
 
 #: Entry/document fields treated as provenance: drift warns.
 _PROVENANCE = (
-    "scale", "cpu_count", "host", "platform", "python", "worker_counts",
-    "depth_bound", "preemption_bound", "snapshot_interval",
-    "max_executions",
+    "scale", "cpu_count", "host", "platform", "python", "depth_bound",
+    "preemption_bound", "snapshot_interval", "max_executions",
 )
 
 #: Run identity fields, in probe order.
-_RUN_KEYS = ("snapshot_cache", "workers")
+_RUN_KEYS = ("snapshot_cache",)
 
 
 @dataclass
 class ComparedValue:
     """One metric compared between baseline and current."""
 
-    path: str  # e.g. "dining(3)/dfs workers=4"
+    path: str  # e.g. "dining(3)/dfs snapshot_cache=True"
     metric: str
     baseline: object
     current: object

@@ -67,20 +67,6 @@ class PhaseTimers:
             for phase in sorted(self.totals)
         }
 
-    def merge_state(self, state: Dict[str, Dict[str, float]]) -> None:
-        """Fold another timer's :meth:`to_dict` export into this one.
-
-        Used by the parallel coordinator to aggregate forked workers'
-        phase timings into the merged result, so ``--stats`` under
-        ``--workers N`` reports the pool's full policy/execute/hash time
-        rather than just the coordinator's own.
-        """
-        for phase, entry in state.items():
-            self.totals[phase] = (self.totals.get(phase, 0.0)
-                                  + float(entry.get("seconds", 0.0)))
-            self.counts[phase] = (self.counts.get(phase, 0)
-                                  + int(entry.get("samples", 0)))
-
     def summary(self) -> str:
         """Phase table with share of the measured total."""
         if not self.totals:

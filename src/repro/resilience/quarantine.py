@@ -18,17 +18,11 @@ from repro.engine.persistence import save_schedule
 
 
 class CrashQuarantine:
-    """Writes crashing executions' schedules to a quarantine directory.
+    """Writes crashing executions' schedules to a quarantine directory,
+    one ``crash-NNNN.json`` file each."""
 
-    ``prefix`` namespaces the filenames (``<prefix>-NNNN.json``); parallel
-    workers use per-worker prefixes so concurrent processes sharing one
-    quarantine directory never race for the same sequence slot.
-    """
-
-    def __init__(self, directory: Optional[Union[str, Path]] = None,
-                 prefix: str = "crash") -> None:
+    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.directory = Path(directory) if directory is not None else None
-        self.prefix = prefix
         self._sequence = 0
 
     def save(self, program, record, *, policy_name: str = "",
@@ -39,7 +33,7 @@ class CrashQuarantine:
             return None
         self.directory.mkdir(parents=True, exist_ok=True)
         while True:
-            path = self.directory / f"{self.prefix}-{self._sequence:04d}.json"
+            path = self.directory / f"crash-{self._sequence:04d}.json"
             self._sequence += 1
             if not path.exists():
                 break

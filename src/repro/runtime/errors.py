@@ -23,11 +23,11 @@ class ScheduleError(ReproError):
 
 
 class UnsupportedConfiguration(ReproError, ValueError):
-    """A search strategy refuses an option it cannot honour soundly.
+    """A search refuses an option or a checkpoint it cannot honour soundly.
 
-    E.g. a preemption bound under sleep sets or DPOR.  A refusal is a
-    usage error: the executor re-raises it even with crash capture on,
-    and the CLI exits 2.
+    E.g. a preemption bound under sleep sets or DPOR, or a checkpoint
+    another strategy wrote.  A refusal is a usage error: the executor
+    re-raises it even with crash capture on, and the CLI exits 2.
     """
 
 

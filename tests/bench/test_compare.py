@@ -178,7 +178,7 @@ class TestLoadAndCli:
         import pathlib
 
         root = pathlib.Path(__file__).resolve().parent.parent.parent
-        for name in ("BENCH_hotpath.json", "BENCH_parallel.json"):
+        for name in ("BENCH_hotpath.json", "BENCH_dpor.json"):
             document = load_bench(str(root / name))
             comparison = compare_bench(document, document)
             assert comparison.exit_code == 0

@@ -73,7 +73,7 @@ class TestStepInfo:
                 setattr(record, type(record)._fields[0], 2)
 
     def test_pickle_round_trip(self):
-        # Parallel workers send records between processes by pickling.
+        # A record must survive pickling to cross a process boundary.
         for record in RECORDS:
             copy = pickle.loads(pickle.dumps(record))
             assert copy == record

@@ -198,15 +198,6 @@ class TestCheckerIntegration:
         assert dict(plain.exploration.outcomes) == \
             dict(cached.exploration.outcomes)
 
-    def test_prefix_confinement_rejected(self):
-        try:
-            DporStrategy(dining_philosophers(2), nonfair_policy(),
-                         prefix=[0])
-        except ValueError as exc:
-            assert "prefix" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("prefix accepted")
-
 
 class TestExplicitSystems:
     def test_partitioned_system_verdicts_match_dfs(self):

@@ -1,8 +1,8 @@
 """The strategy table, and counterexamples that replay under it.
 
 ``STRATEGIES`` is the one list of search strategies: the CLI's choices
-and the torture sweep read it, and an unknown name is refused the same
-way serially and in parallel.
+and the torture sweep read it, and an unknown name is refused with the
+table's names.
 
 Every strategy's first counterexample must replay — through
 ``Checker.replay`` and through a saved repro file — to the same outcome,
@@ -64,13 +64,11 @@ def chosen(record):
     return [d.chosen for d in record.decisions]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 @pytest.mark.parametrize("program", list(PROGRAMS))
-def test_counterexample_replays(program, strategy, workers, tmp_path):
+def test_counterexample_replays(program, strategy, tmp_path):
     factory, kwargs = PROGRAMS[program]
-    checker = Checker(factory(), strategy=strategy, workers=workers,
-                      **kwargs)
+    checker = Checker(factory(), strategy=strategy, **kwargs)
     record = checker.run().violation
     assert record is not None
 
@@ -103,14 +101,10 @@ class TestTable:
         assert list(torture.STRATEGIES) == names
 
     def test_unknown_name_lists_the_table(self):
-        messages = set()
-        for workers in (1, 2):
-            checker = Checker(dining_philosophers(2), strategy="none-such",
-                              workers=workers)
-            with pytest.raises(ValueError) as excinfo:
-                checker.run()
-            messages.add(str(excinfo.value))
-        (message,) = messages
+        checker = Checker(dining_philosophers(2), strategy="none-such")
+        with pytest.raises(ValueError) as excinfo:
+            checker.run()
+        message = str(excinfo.value)
         assert "'none-such'" in message
         for name in STRATEGIES:
             assert name in message

@@ -73,20 +73,24 @@ class TestCountValidation:
     #: The range each flag's value must fall in, when it is not "a
     #: positive integer".
     RANGES = {"--preemption-bound": "a non-negative integer",
-              "--execution-budget": "a positive number"}
+              "--execution-budget": "a positive number",
+              "--max-seconds": "a positive number"}
 
     @pytest.mark.parametrize("flags", [
         ["--snapshot-interval", "0"],
         ["--snapshot-cache", "--snapshot-interval", "0"],
         ["--no-snapshot-cache", "--snapshot-interval", "-2"],
-        ["--workers", "0"],
-        ["--workers", "-1"],
         ["--depth-bound", "0"],
         ["--depth-bound", "-1"],
         ["--preemption-bound", "-1"],
         ["--execution-budget", "0"],
         ["--random-executions", "-3"],
         ["--max-crashes", "0"],
+        ["--max-executions", "0"],
+        ["--max-executions", "-2"],
+        ["--max-seconds", "0"],
+        ["--max-seconds", "-1"],
+        ["--k-yield", "0"],
     ])
     def test_non_positive_count_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -103,12 +107,16 @@ class TestCountValidation:
 
         for kwargs in ({"snapshot_interval": 0},
                        {"snapshot_interval": 0, "snapshot_cache": False},
-                       {"workers": 0},
                        {"depth_bound": 0},
                        {"depth_bound": -1},
                        {"execution_budget_seconds": 0},
                        {"strategy": "random", "random_executions": -3},
-                       {"max_crashes": 0}):
+                       {"max_crashes": 0},
+                       {"max_executions": 0},
+                       {"max_executions": -2},
+                       {"max_seconds": 0},
+                       {"max_seconds": -1},
+                       {"k_yield": 0}):
             with pytest.raises(ValueError, match="must be positive"):
                 Checker(dining_philosophers(2), **kwargs)
         with pytest.raises(ValueError, match="must be non-negative"):

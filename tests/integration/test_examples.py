@@ -2,6 +2,7 @@
 
 import importlib
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,11 @@ def test_example_runs(name, capsys):
     run_example(name)
     out = capsys.readouterr().out
     assert out.strip()
+
+
+@pytest.mark.parametrize("name", ["profiling_demo", "resume_search"])
+def test_example_leaves_no_files(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_example(name)
+    assert capsys.readouterr().out.strip()
+    assert list(tmp_path.iterdir()) == []

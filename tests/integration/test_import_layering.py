@@ -3,9 +3,9 @@
 ``import repro`` serves the telemetry layer (``repro.obs``, ``Observer``,
 ``MetricsRegistry``) and the explicit-state re-exports of
 ``repro.statespace`` on first use.  A plain DFS run must therefore load
-nothing of ``obs``, ``parallel``, ``cli`` or ``bench``, and nothing of
-``statespace`` beyond the ``canonical`` module the runtime hashes states
-with, while every public name stays importable.  Each case runs in a
+nothing of ``obs``, ``cli`` or ``bench``, and nothing of ``statespace``
+beyond the ``canonical`` module the runtime hashes states with, while
+every public name stays importable.  Each case runs in a
 fresh subprocess, since this test process has loaded everything already.
 """
 
@@ -57,8 +57,7 @@ def test_default_search_loads_only_what_it_runs():
         return [m for m in loaded
                 if m == package or m.startswith(package + ".")]
 
-    for package in ("repro.obs", "repro.parallel", "repro.cli",
-                    "repro.bench"):
+    for package in ("repro.obs", "repro.cli", "repro.bench"):
         assert under(package) == [], f"a dfs run loaded {under(package)}"
     assert under("repro.statespace") == ["repro.statespace",
                                          "repro.statespace.canonical"]

@@ -107,6 +107,19 @@ class TestLimitStopResume:
         assert totals(resumed) == totals(reference)
         assert "complete=True" in resumed
 
+    def test_resume_with_another_strategy_exits_2(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "search.ckpt")
+        base = ["check", "repro.workloads.dining:dining_philosophers",
+                "-a", "2", "--depth-bound", "300", "--checkpoint", ckpt]
+        assert main([*base, "--strategy", "bfs", "--checkpoint-interval",
+                     "5", "--max-executions", "10"]) == 0
+        capsys.readouterr()
+
+        assert main([*base, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert "'bfs'" in err and "'dfs'" in err
+
     def test_resume_without_checkpoint_flag_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["check", "repro.workloads.dining:dining_philosophers",

@@ -107,6 +107,40 @@ class TestResumeEqualsUninterrupted:
                 load_checkpoint(ckpt)["state"])
 
 
+@pytest.mark.parametrize("name, legacy", [
+    ("dfs", {"prefix": []}),
+    ("random", {"start": 0, "end": 25}),
+])
+def test_earlier_frontier_shapes_still_resume(name, legacy, tmp_path):
+    """Serial checkpoints from before the parallel search was deleted
+    carry a DFS ``prefix`` and a random walk's ``start``/``end``; they
+    resume to the totals of an uninterrupted run."""
+    program = dining_philosophers(2)
+    reference = build(name, program).explore()
+    ckpt = tmp_path / "search.ckpt"
+    controller = controller_for(ckpt, program)
+    seen = [0]
+
+    def stop_midway(record):
+        seen[0] += 1
+        if seen[0] >= INTERRUPT_AFTER:
+            controller.request_stop("test")
+
+    build(name, program, listener=stop_midway,
+          resilience=controller).explore()
+    state = load_checkpoint(ckpt)["state"]
+    assert not set(legacy) & set(state["frontier"])
+    state["frontier"].update(legacy)
+
+    resumed_strategy = build(name, program)
+    resumed_strategy.load_state_dict(state)
+    resumed = resumed_strategy.explore()
+    assert resumed.executions == reference.executions
+    assert resumed.transitions == reference.transitions
+    assert dict(resumed.outcomes) == dict(reference.outcomes)
+    assert resumed.complete == reference.complete
+
+
 class TestCheckerResume:
     def test_limit_stop_then_resume_completes(self, tmp_path):
         ckpt = str(tmp_path / "search.ckpt")
@@ -134,6 +168,28 @@ class TestCheckerResume:
         with pytest.raises(ValueError, match="recorded for program"):
             Checker(spinloop(), depth_bound=300,
                     handle_signals=False).run(resume_from=ckpt)
+
+    def test_refuses_parallel_checkpoint(self, tmp_path, capsys):
+        # The state the deleted multi-process search wrote; nothing can
+        # resume it now.
+        from repro.cli import main
+
+        ckpt = str(tmp_path / "par.ckpt")
+        CheckpointStore(ckpt).save({
+            "program": dining_philosophers(2).name,
+            "policy": "fair",
+            "strategy": "parallel",
+            "state": {"strategy": "parallel", "inner": "dfs", "phase": 0,
+                      "completed_phases": [], "completed_shards": {},
+                      "aggregator": {"executions": 10}},
+        })
+        with pytest.raises(ValueError, match="parallel"):
+            Checker(dining_philosophers(2), depth_bound=300,
+                    handle_signals=False).run(resume_from=ckpt)
+        assert main(["check", "repro.workloads.dining:dining_philosophers",
+                     "-a", "2", "--depth-bound", "300",
+                     "--checkpoint", ckpt, "--resume"]) == 2
+        assert "'parallel'" in capsys.readouterr().err
 
     def test_checkpoint_interval_paces_periodic_writes(self, tmp_path):
         from repro.obs import CheckpointWritten, CollectingSink, Observer
